@@ -11,7 +11,8 @@ Run:  python examples/design_space.py [--full]
 
 Without --full a representative six-microarchitecture subset keeps the
 simulation campaign under a minute; --full sweeps the paper's complete
-32-microarchitecture matrix.
+32-microarchitecture matrix.  Measured CPIs are kept in
+``.dse_cpi_store.sqlite``, so a rerun skips the simulation campaign.
 """
 
 import sys
@@ -20,6 +21,7 @@ from repro import config_by_name
 from repro.dse import CpiTable, pareto_frontier, sweep
 from repro.dse.pareto import frontier_span
 from repro.pipeline.config import all_configs
+from repro.serve import CampaignService, InProcessClient
 
 SUBSET = ["TDX", "TD|X", "TDX1|X2 +Q", "T|DX +P+Q", "T|D|X1|X2", "T|D|X1|X2 +P+Q"]
 
@@ -41,7 +43,9 @@ def main() -> None:
     configs = all_configs() if full else [config_by_name(n) for n in SUBSET]
     print(f"measuring CPI for {len(configs)} microarchitectures on the "
           f"ten-workload suite (cycle-accurate)...")
-    table = CpiTable(scale=24, cache_path=".dse_cpi_cache.json")
+    table = CpiTable(scale=24)
+    with CampaignService(store=".dse_cpi_store.sqlite") as service:
+        table.populate(configs, service=InProcessClient(service))
     points = sweep(configs=configs, cpi_table=table)
     frontier = pareto_frontier(points)
     span = frontier_span(frontier)

@@ -4,8 +4,8 @@ CPI depends only on the microarchitecture (not on voltage or frequency),
 so the design-space sweep needs one simulation campaign per config: all
 ten Table 3 workloads, counters read from the designated worker PE,
 averaged — exactly how Figure 5's stacks are built.  Results are cached
-in memory and optionally on disk, because a full 32-config campaign is
-the expensive part of regenerating Figures 6-8.
+in memory, because a full 32-config campaign is the expensive part of
+regenerating Figures 6-8.
 
 The campaign is embarrassingly parallel across configs — nothing is
 shared between two microarchitectures' simulations — so
@@ -15,45 +15,23 @@ pool (see :mod:`repro.parallel` for the worker-count policy and the
 produce identical tables: the per-config worker is a pure function of
 ``(config, scale, seed, params)``.
 
-The disk cache is keyed by a fingerprint over everything the numbers
-depend on (scale, seed, every architectural parameter, and the config
-set), so a stale cache written at another scale or under edited
-parameters can never be mistaken for current results.
+To keep results across runs, populate through the campaign service
+with a file-backed store (``populate(configs,
+service=InProcessClient(CampaignService(store=path)))``): each config's
+task is keyed by a fingerprint over its config, scale, seed and every
+architectural parameter, so results written at another scale or under
+edited parameters are never mistaken for current ones.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
 
-from repro.parallel import Checkpoint, resilient_map
+from repro.parallel import resilient_map
 from repro.params import ArchParams, DEFAULT_PARAMS
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import PipelinedPE
 from repro.workloads.suite import WORKLOADS, run_workload
-
-
-def table_fingerprint(
-    scale: int,
-    seed: int,
-    params: ArchParams,
-    configs: list[PipelineConfig] | None = None,
-) -> str:
-    """Digest of every input the cached CPI numbers depend on."""
-    blob = json.dumps(
-        {
-            "scale": scale,
-            "seed": seed,
-            "params": dataclasses.asdict(params),
-            "configs": (
-                None if configs is None else sorted(c.name for c in configs)
-            ),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _campaign(
@@ -100,38 +78,12 @@ class CpiTable:
         scale: int = 24,
         seed: int = 0,
         params: ArchParams = DEFAULT_PARAMS,
-        cache_path: str | None = None,
-        configs: list[PipelineConfig] | None = None,
     ) -> None:
         self.scale = scale
         self.seed = seed
         self.params = params
-        self.cache_path = cache_path
-        self.fingerprint = table_fingerprint(scale, seed, params, configs)
         self._cpi: dict[str, float] = {}
         self._stacks: dict[str, dict[str, float]] = {}
-        if cache_path and os.path.exists(cache_path):
-            with open(cache_path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("fingerprint") == self.fingerprint:
-                self._cpi = payload["cpi"]
-                self._stacks = payload["stacks"]
-
-    def _save(self) -> None:
-        if not self.cache_path:
-            return
-        with open(self.cache_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "fingerprint": self.fingerprint,
-                    "scale": self.scale,
-                    "seed": self.seed,
-                    "cpi": self._cpi,
-                    "stacks": self._stacks,
-                },
-                handle,
-                indent=1,
-            )
 
     def populate(
         self,
@@ -143,14 +95,9 @@ class CpiTable:
         """Simulate every config not already in the table, in parallel.
 
         Results are identical to serial lazy evaluation (the worker is a
-        pure function and results are merged in input order); the disk
-        cache is written once at the end rather than per config.
-
-        The campaign is hardened: killed workers are retried with the
-        pool rebuilt (degrading to serial execution as a last resort),
-        and when a disk cache path is configured, per-config results are
-        checkpointed beside it so an interrupted campaign resumes from
-        the configs already simulated instead of restarting.
+        pure function and results are merged in input order).  Killed
+        workers are retried with the pool rebuilt, degrading to serial
+        execution as a last resort.
 
         ``profile`` (a :class:`repro.obs.campaign.CampaignProfile`)
         records per-config wall-clock and worker utilization without
@@ -161,14 +108,14 @@ class CpiTable:
         through the supervised campaign service instead of a private
         process pool: identical results, but deduped against the
         service's durable store and supervised for worker crashes and
-        hangs (``cpi-config`` task kind).
+        hangs (``cpi-config`` task kind).  With a file-backed store, a
+        rerun or an interrupted campaign executes only the configs the
+        store does not already hold.
         """
         missing = [c for c in configs if c.name not in self._cpi]
         if not missing:
             return
         if service is not None:
-            import dataclasses
-
             results = service.map("cpi-config", [
                 {
                     "config": c.name,
@@ -178,39 +125,19 @@ class CpiTable:
                 }
                 for c in missing
             ])
-            for name, cpi, stack in results:
-                self._cpi[name] = cpi
-                self._stacks[name] = stack
-            self._save()
-            return
-        tasks = [(c, self.scale, self.seed, self.params) for c in missing]
-        checkpoint = None
-        if self.cache_path:
-            checkpoint = Checkpoint(
-                self.cache_path + ".partial",
-                fingerprint=self.fingerprint,
-                decode=tuple,
+        else:
+            tasks = [(c, self.scale, self.seed, self.params) for c in missing]
+            results = resilient_map(
+                _simulate_config, tasks, workers, profile=profile
             )
-        results = resilient_map(
-            _simulate_config,
-            tasks,
-            workers,
-            checkpoint=checkpoint,
-            key=lambda task: task[0].name,
-            profile=profile,
-        )
         for name, cpi, stack in results:
             self._cpi[name] = cpi
             self._stacks[name] = stack
-        self._save()
-        if checkpoint is not None:
-            checkpoint.clear()
 
     def _simulate(self, config: PipelineConfig) -> None:
         cpi, stack = _campaign(config, self.scale, self.seed, self.params)
         self._cpi[config.name] = cpi
         self._stacks[config.name] = stack
-        self._save()
 
     def cpi(self, config: PipelineConfig) -> float:
         """Workload-average worker CPI for one microarchitecture."""

@@ -29,8 +29,7 @@ def _write(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def export_all(outdir: str, scale: int = 24,
-               cache_path: str | None = None) -> list[str]:
+def export_all(outdir: str, scale: int = 24) -> list[str]:
     """Regenerate everything and write the CSVs; returns written paths."""
     os.makedirs(outdir, exist_ok=True)
     written = []
@@ -70,7 +69,7 @@ def export_all(outdir: str, scale: int = 24,
          for r in figure4.compute(scale=scale)],
     )
 
-    cpi_table = CpiTable(scale=scale, cache_path=cache_path)
+    cpi_table = CpiTable(scale=scale)
     stacks = figure5.compute(cpi_table)
     rows = []
     for partition, variants in stacks.items():

@@ -18,9 +18,9 @@ from repro.eval import (
 )
 
 
-def full_report(scale: int = 24, cache_path: str | None = None) -> str:
+def full_report(scale: int = 24) -> str:
     """Regenerate every table and figure; heavy (minutes of simulation)."""
-    cpi_table = CpiTable(scale=scale, cache_path=cache_path)
+    cpi_table = CpiTable(scale=scale)
     points = sweep(cpi_table=cpi_table)
     sections = [
         table1.render(),

@@ -8,9 +8,8 @@ queue-policy, params) content fingerprint:
   source (stage walk unrolled, trigger resolution inlined per
   descriptor, ALU semantics baked in).
 * :mod:`repro.jit.cache` — sha256 content fingerprinting and the
-  compile-once module cache.
-* :mod:`repro.jit.batch` — lockstep batching of N independent PE
-  instances through one compiled module for fuzz/DSE campaigns.
+  compile-once module cache; PEs running the same program under the
+  same config share one compiled module.
 
 Select it per PE with ``PipelinedPE(..., backend="jit")`` (the
 ``REPRO_JIT`` environment variable flips the process-wide default).
@@ -18,7 +17,6 @@ Instrumented paths — fault hooks, telemetry sinks — transparently fall
 back to the interpreter, cycle for cycle.
 """
 
-from repro.jit.batch import JitBatch
 from repro.jit.cache import (
     JitProgram,
     block_exit_counts,
@@ -32,7 +30,6 @@ from repro.jit.codegen import CODEGEN_VERSION, generate_source
 
 __all__ = [
     "CODEGEN_VERSION",
-    "JitBatch",
     "JitProgram",
     "block_exit_counts",
     "cache_stats",

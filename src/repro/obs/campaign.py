@@ -10,7 +10,7 @@ changing any result:
 * worker utilization — total task-busy seconds over ``elapsed x
   workers`` (1.0 means the pool never idled);
 * resilience machinery activity: pool retries, timeouts, serial
-  degradation, and checkpoint resume hits.
+  degradation, and results replayed from the campaign service's store.
 
 Profiles accumulate across calls, so one profile handed to both phases
 of :func:`repro.dse.sweep.sweep` reports the whole campaign.

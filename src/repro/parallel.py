@@ -9,32 +9,29 @@ the same two environment switches:
 
 * ``REPRO_SERIAL=1`` — force in-process serial execution (useful under
   debuggers, coverage, and profilers, and the documented escape hatch
-  when process pools are unavailable);
+  when process pools are unavailable); ``0`` or empty means unset;
 * ``REPRO_WORKERS=N`` — cap the pool size without touching call sites.
 
-Two entry points:
+The entry point is :func:`resilient_map`, an order-preserving map
+hardened for long campaigns: per-task timeouts, bounded retry with
+exponential backoff when the pool dies, graceful degradation to
+in-process serial execution as a last resort, and worker exceptions
+re-raised with their original tracebacks
+(:class:`~repro.errors.CampaignError`).  It preserves input order, so a
+campaign produces byte-identical results at any worker count —
+``tests/test_parallel.py`` and ``tests/test_resilience.py`` hold it to
+that.
 
-* :func:`parallel_map` — the original order-preserving map; minimal
-  machinery, exceptions propagate as-is.
-* :func:`resilient_map` — hardened for long campaigns: per-task
-  timeouts, bounded retry with exponential backoff when the pool dies,
-  graceful degradation to in-process serial execution as a last resort,
-  worker exceptions re-raised with their original tracebacks
-  (:class:`~repro.errors.CampaignError`), and optional checkpointing of
-  partial results (:class:`Checkpoint`) so an interrupted campaign
-  resumes instead of restarting.
-
-Both preserve input order, so a campaign produces byte-identical
-results at any worker count — ``tests/test_parallel.py`` and
-``tests/test_resilience.py`` hold them to that.
+This module keeps nothing on disk.  A campaign that must survive
+interruption runs through the campaign service instead
+(``service=InProcessClient(CampaignService(store=path))``), whose sqlite
+store dedups and resumes by task fingerprint (:mod:`repro.serve.store`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
-import tempfile
 import time
 import traceback
 from collections.abc import Callable, Iterable, Sequence
@@ -44,8 +41,6 @@ from repro.errors import CampaignError
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-_UNSET = object()
 
 
 def retry_delay(
@@ -74,10 +69,11 @@ def retry_delay(
 def resolve_workers(workers: int | None = None) -> int:
     """Resolve an effective worker count (always at least 1).
 
-    Precedence: ``REPRO_SERIAL`` (forces 1) > explicit ``workers``
-    argument > ``REPRO_WORKERS`` > ``os.cpu_count()``.
+    Precedence: ``REPRO_SERIAL`` (forces 1 unless ``0`` or empty) >
+    explicit ``workers`` argument > ``REPRO_WORKERS`` >
+    ``os.cpu_count()``.
     """
-    if os.environ.get("REPRO_SERIAL"):
+    if os.environ.get("REPRO_SERIAL", "0") not in ("", "0"):
         return 1
     if workers is None:
         env = os.environ.get("REPRO_WORKERS")
@@ -89,128 +85,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
     return max(1, int(workers))
-
-
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    workers: int | None = None,
-) -> list[_R]:
-    """Map ``fn`` over ``items``, preserving input order.
-
-    Runs serially in-process when the resolved worker count is 1 (or
-    there is at most one item); otherwise fans out over a
-    ``ProcessPoolExecutor``.  ``fn`` and every item must be picklable in
-    the parallel case — which is why the campaign workers live at module
-    level in :mod:`repro.dse.cpi` and :mod:`repro.dse.sweep`.
-    """
-    work: Sequence[_T] = list(items)
-    count = min(resolve_workers(workers), len(work))
-    if count <= 1:
-        return [fn(item) for item in work]
-    # Imported lazily: the serial path must work even where process
-    # pools cannot (restricted sandboxes without semaphores).
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, work))
-
-
-def _fsync_directory(directory: str) -> None:
-    """Best-effort durability for a rename within ``directory``."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-class Checkpoint:
-    """Fingerprinted partial results of one campaign, on disk.
-
-    Results are stored as a JSON object keyed by a caller-chosen task
-    key; a stored ``fingerprint`` guards against resuming with results
-    computed under different inputs (same discipline as the CPI disk
-    cache).  ``encode``/``decode`` adapt non-JSON-native result types
-    (tuples, dataclasses) on the way in and out.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        fingerprint: str = "",
-        encode: Callable | None = None,
-        decode: Callable | None = None,
-    ) -> None:
-        self.path = path
-        self.fingerprint = fingerprint
-        self._encode = encode or (lambda value: value)
-        self._decode = decode or (lambda value: value)
-        self._results: dict[str, object] = {}
-        if os.path.exists(path):
-            # A corrupt or truncated checkpoint (torn by a crash before
-            # the atomic-replace discipline existed, or plain disk
-            # garbage) must never wedge a resume: treat anything
-            # unreadable or mis-shapen as an empty checkpoint and
-            # recompute.  Fingerprint mismatches are likewise ignored.
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                payload = {}
-            if not isinstance(payload, dict):
-                payload = {}
-            if payload.get("fingerprint") == fingerprint:
-                results = payload.get("results", {})
-                if isinstance(results, dict):
-                    self._results = results
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._results
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def get(self, key: str):
-        return self._decode(self._results[key])
-
-    def put(self, key: str, value) -> None:
-        self._results[key] = self._encode(value)
-        self._save()
-
-    def _save(self) -> None:
-        # Crash-safe write: temp file in the same directory, fsync'd
-        # before an atomic ``os.replace``, then the directory fsync'd so
-        # the rename itself is durable.  A campaign killed (SIGKILL
-        # included) at any instant leaves either the old checkpoint or
-        # the complete new one — never a torn file.
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"fingerprint": self.fingerprint, "results": self._results},
-                    handle,
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, self.path)
-            _fsync_directory(directory)
-        except BaseException:
-            if os.path.exists(temp):
-                os.unlink(temp)
-            raise
-
-    def clear(self) -> None:
-        """Remove the checkpoint (call once the campaign has fully landed)."""
-        self._results = {}
-        if os.path.exists(self.path):
-            os.unlink(self.path)
 
 
 def _call_traced(fn, item):
@@ -268,8 +142,6 @@ def resilient_map(
     timeout: float | None = None,
     retries: int = 2,
     backoff: float = 0.25,
-    checkpoint: Checkpoint | None = None,
-    key: Callable[[_T], str] | None = None,
     profile=None,
 ) -> list[_R]:
     """Hardened order-preserving map for long campaigns.
@@ -286,37 +158,21 @@ def resilient_map(
       deterministic campaign input — and propagates as
       :class:`~repro.errors.CampaignError` carrying the worker's
       original traceback.
-    * With ``checkpoint`` and ``key``, completed results are persisted
-      as they land and skipped on resume; results computed before an
-      interruption are never re-simulated.
     * With ``profile`` (a :class:`repro.obs.campaign.CampaignProfile`),
-      per-task wall-clock, worker utilization, retry/timeout counts and
-      checkpoint hits are recorded — observation only, results are
-      unchanged.
+      per-task wall-clock, worker utilization and retry/timeout counts
+      are recorded — observation only, results are unchanged.
 
     Results are identical to ``[fn(x) for x in items]`` at any worker
     count, on any retry path.
     """
     work: Sequence[_T] = list(items)
-    keys: list[str | None] = [
-        key(item) if (key is not None and checkpoint is not None) else None
-        for item in work
-    ]
-    results: list = [_UNSET] * len(work)
-    if checkpoint is not None:
-        for index, task_key in enumerate(keys):
-            if task_key is not None and task_key in checkpoint:
-                results[index] = checkpoint.get(task_key)
-                if profile is not None:
-                    profile.checkpoint_hit()
-    pending = [index for index in range(len(work)) if results[index] is _UNSET]
+    results: list = [None] * len(work)
+    pending = list(range(len(work)))
 
     def record(index: int, value, seconds: float) -> None:
         results[index] = value
-        if checkpoint is not None and keys[index] is not None:
-            checkpoint.put(keys[index], value)
         if profile is not None:
-            profile.task_done(index, keys[index], seconds)
+            profile.task_done(index, None, seconds)
 
     count = min(resolve_workers(workers), len(pending))
     if profile is not None:

@@ -47,8 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trials", type=int, default=2,
                         help="trials per campaign cell")
     parser.add_argument("--workloads", nargs="+", default=["gcd", "stream"])
-    parser.add_argument("--checkpoint", default=None,
-                        help="checkpoint file for campaign resume")
     args = parser.parse_args(argv)
 
     print(
@@ -62,7 +60,6 @@ def main(argv: list[str] | None = None) -> int:
         trials=args.trials,
         scale=args.scale,
         seed=args.seed,
-        checkpoint_path=args.checkpoint,
     )
     serial = fault_campaign(workers=1, **common)
     pooled = fault_campaign(workers=2, **common)

@@ -16,20 +16,19 @@ and classifies the outcome:
 
 Trials are pure functions of their task tuple, fanned out through
 :func:`repro.parallel.resilient_map`, so a campaign is bit-identical
-across runs and worker counts and survives killed workers; with a
-checkpoint path it also resumes after interruption.
+across runs and worker counts and survives killed workers.  To resume
+after interruption, run the campaign through a campaign service with a
+file-backed store (``service=``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import DeadlockError, SimulationError
-from repro.parallel import Checkpoint, resilient_map
+from repro.parallel import resilient_map
 from repro.pipeline.config import PipelineConfig, config_by_name
 from repro.pipeline.core import PipelinedPE
 from repro.resilience.faults import FaultClass, inject, plan_faults
@@ -157,12 +156,6 @@ def run_trial(trial: FaultTrial) -> TrialResult:
     return result(NOT_APPLIED, "no planned fault found state to corrupt", cycles)
 
 
-def campaign_fingerprint(tasks: list[FaultTrial]) -> str:
-    """Digest of every input a checkpointed campaign depends on."""
-    blob = json.dumps([dataclasses.astuple(task) for task in tasks])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def fault_campaign(
     configs=DEFAULT_CONFIGS,
     faults=DEFAULT_FAULTS,
@@ -171,7 +164,6 @@ def fault_campaign(
     scale: int = 8,
     seed: int = 0,
     workers: int | None = None,
-    checkpoint_path: str | None = None,
     service=None,
     **trial_kwargs,
 ) -> list[TrialResult]:
@@ -179,13 +171,14 @@ def fault_campaign(
 
     ``configs`` accepts paper-style names or :class:`PipelineConfig`
     objects.  Results are in deterministic grid order regardless of
-    worker count; with ``checkpoint_path`` an interrupted campaign
-    resumes from its completed cells.
+    worker count.
 
     ``service`` (a :mod:`repro.serve` client) runs the grid as
     ``fault-trial`` tasks on the supervised campaign service instead of
     a private pool — same results, plus durable-store dedup/resume and
-    supervision against crashed or hung trial workers.
+    supervision against crashed or hung trial workers.  With a
+    file-backed store, an interrupted campaign resumes from its
+    completed cells.
     """
     names = [
         config.name if isinstance(config, PipelineConfig) else config
@@ -210,24 +203,7 @@ def fault_campaign(
         return service.map(
             "fault-trial", [dataclasses.asdict(task) for task in tasks]
         )
-    checkpoint = None
-    if checkpoint_path:
-        checkpoint = Checkpoint(
-            checkpoint_path,
-            fingerprint=campaign_fingerprint(tasks),
-            encode=dataclasses.asdict,
-            decode=lambda payload: TrialResult(**payload),
-        )
-    results = resilient_map(
-        run_trial,
-        tasks,
-        workers,
-        checkpoint=checkpoint,
-        key=lambda task: task.key,
-    )
-    if checkpoint is not None:
-        checkpoint.clear()
-    return results
+    return resilient_map(run_trial, tasks, workers)
 
 
 def summarize(results: list[TrialResult]) -> dict[tuple[str, str], Counter]:

@@ -1,7 +1,7 @@
 """Durable, content-fingerprint-keyed result store.
 
-This generalizes the ``.cpi_cache.json`` discipline into a real store:
-every task a campaign executes is keyed by a sha256 fingerprint over its
+This is the one place campaign results persist across runs: every task
+a campaign executes is keyed by a sha256 fingerprint over its
 ``(kind, payload)`` content, and the result of executing it is written
 durably — sqlite, one row per fingerprint, committed per put — before
 the service acknowledges the task as done.  Three properties follow:
@@ -23,8 +23,7 @@ the service acknowledges the task as done.  Three properties follow:
 A corrupt or truncated database file (torn by a mid-write power cut on
 a non-atomic filesystem, or just garbage) is moved aside to
 ``<path>.corrupt`` and the store restarts empty rather than wedging the
-service — the same tolerate-and-recover policy as
-:class:`repro.parallel.Checkpoint`.
+service.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")
-def cpi_table(tmp_path_factory) -> CpiTable:
-    cache = tmp_path_factory.mktemp("cpi") / "cpi_cache.json"
-    return CpiTable(scale=12, cache_path=str(cache))
+def cpi_table() -> CpiTable:
+    return CpiTable(scale=12)
 
 
 @pytest.fixture()

@@ -8,6 +8,7 @@ from repro.dse.pareto import frontier_span, pareto_frontier
 from repro.dse.prune import PruneOracle
 from repro.dse.sweep import close_grid, frequency_grid, sweep, voltage_grid
 from repro.pipeline.config import config_by_name
+from repro.serve import CampaignService, InProcessClient
 from repro.vlsi.synthesis import synthesize
 from repro.vlsi.technology import VtFlavor
 
@@ -148,13 +149,13 @@ class TestPruning:
         assert stats.points_evaluated == len(pruned)
         assert stats.point_rate >= 0.20, stats.as_dict()
 
-    def test_config_level_pruning_skips_simulation(self, tmp_path):
+    def test_config_level_pruning_skips_simulation(self):
         # A config whose entire best-case grid is dominated must never
         # reach the simulator.  A synthetic huge floor forces the case
         # (mechanism test only — an unsound oracle voids the frontier
         # guarantee, so nothing else is asserted about the output).
         fast, slow = config_by_name("TDX"), config_by_name("T|D|X1|X2")
-        table = CpiTable(scale=8, cache_path=str(tmp_path / "cpi.json"))
+        table = CpiTable(scale=8)
         oracle = PruneOracle({fast.name: 1.0, slow.name: 1000.0}, batch=1)
         points = sweep(configs=[fast, slow], cpi_table=table, prune=oracle)
         assert oracle.stats.configs_pruned == 1
@@ -184,21 +185,29 @@ class TestPruning:
 
 
 class TestCpiTable:
+    @staticmethod
+    def _populate(path, scale, config):
+        with CampaignService(path, workers=1) as service:
+            table = CpiTable(scale=scale)
+            table.populate([config], service=InProcessClient(service))
+            executed = sum(job.executed for job in service.jobs.values())
+        return table, executed
+
     def test_caches_across_instances(self, tmp_path):
-        cache = tmp_path / "cpi.json"
-        table = CpiTable(scale=8, cache_path=str(cache))
+        path = str(tmp_path / "cpi.sqlite")
         config = config_by_name("TDX")
-        first = table.cpi(config)
-        # A new table with the same cache must not re-simulate (and must agree).
-        again = CpiTable(scale=8, cache_path=str(cache))
-        assert config.name in again._cpi
-        assert again.cpi(config) == first
+        first, _ = self._populate(path, 8, config)
+        # A new table on the same store must not re-simulate (and must agree).
+        again, executed = self._populate(path, 8, config)
+        assert executed == 0
+        assert again.cpi(config) == first.cpi(config)
 
     def test_cache_invalidated_by_scale_change(self, tmp_path):
-        cache = tmp_path / "cpi.json"
-        CpiTable(scale=8, cache_path=str(cache)).cpi(config_by_name("TDX"))
-        other = CpiTable(scale=10, cache_path=str(cache))
-        assert not other._cpi
+        path = str(tmp_path / "cpi.sqlite")
+        config = config_by_name("TDX")
+        self._populate(path, 8, config)
+        _, executed = self._populate(path, 10, config)
+        assert executed == 1
 
     def test_stack_components_sum_to_cpi(self, cpi_table):
         config = config_by_name("T|D|X +P")

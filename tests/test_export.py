@@ -2,13 +2,14 @@
 
 import csv
 
+from repro.eval import export
 from repro.eval.export import export_all
 
 
-def test_export_writes_every_exhibit(tmp_path, cpi_table):
-    written = export_all(
-        str(tmp_path), scale=cpi_table.scale, cache_path=cpi_table.cache_path
-    )
+def test_export_writes_every_exhibit(tmp_path, monkeypatch, cpi_table):
+    # Reuse the session's CPI table instead of re-running the campaign.
+    monkeypatch.setattr(export, "CpiTable", lambda scale: cpi_table)
+    written = export_all(str(tmp_path), scale=cpi_table.scale)
     names = {path.rsplit("/", 1)[-1] for path in written}
     assert names == {
         "table1.csv", "table2.csv", "table3.csv", "figure3_breakdown.csv",

@@ -4,9 +4,8 @@ import os
 
 import pytest
 
-from repro.dse.cpi import CpiTable, table_fingerprint
-from repro.parallel import parallel_map, resolve_workers
-from repro.params import DEFAULT_PARAMS as P
+from repro.dse.cpi import CpiTable
+from repro.parallel import resolve_workers
 from repro.pipeline.config import all_configs
 
 
@@ -16,14 +15,15 @@ def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
 
 
-def _square(x):   # module level: must pickle for the pool path
-    return x * x
-
-
 class TestResolveWorkers:
     def test_serial_env_forces_one(self, clean_env, monkeypatch):
         monkeypatch.setenv("REPRO_SERIAL", "1")
         assert resolve_workers(8) == 1
+
+    def test_serial_env_zero_or_empty_means_unset(self, clean_env, monkeypatch):
+        for value in ("0", ""):
+            monkeypatch.setenv("REPRO_SERIAL", value)
+            assert resolve_workers(3) == 3
 
     def test_explicit_argument_wins_over_workers_env(self, clean_env, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")
@@ -45,22 +45,6 @@ class TestResolveWorkers:
         assert resolve_workers() == max(1, os.cpu_count() or 1)
 
 
-class TestParallelMap:
-    def test_serial_path_preserves_order(self, clean_env):
-        assert parallel_map(_square, range(10), workers=1) == [
-            x * x for x in range(10)
-        ]
-
-    def test_pool_path_matches_serial(self, clean_env):
-        items = list(range(12))
-        assert parallel_map(_square, items, workers=2) == [
-            x * x for x in items
-        ]
-
-    def test_empty_input(self, clean_env):
-        assert parallel_map(_square, [], workers=4) == []
-
-
 class TestCpiTableParallelism:
     CONFIGS = all_configs()[:3]
     SCALE = 5
@@ -73,20 +57,6 @@ class TestCpiTableParallelism:
         pooled.populate(self.CONFIGS, workers=2)
         assert pooled._cpi == lazy._cpi
         assert pooled._stacks == lazy._stacks
-
-    def test_fingerprint_covers_scale_params_and_configs(self):
-        base = table_fingerprint(8, 0, P, self.CONFIGS)
-        assert table_fingerprint(9, 0, P, self.CONFIGS) != base
-        assert table_fingerprint(8, 1, P, self.CONFIGS) != base
-        assert table_fingerprint(8, 0, P, self.CONFIGS[:2]) != base
-        assert table_fingerprint(8, 0, P, self.CONFIGS) == base
-
-    def test_stale_disk_cache_is_not_loaded(self, clean_env, tmp_path):
-        path = str(tmp_path / "cache.json")
-        first = CpiTable(scale=self.SCALE, cache_path=path)
-        first.populate(self.CONFIGS[:1])
-        assert CpiTable(scale=self.SCALE, cache_path=path)._cpi == first._cpi
-        assert CpiTable(scale=self.SCALE + 1, cache_path=path)._cpi == {}
 
 
 class TestRetryDelay:
@@ -117,58 +87,6 @@ class TestRetryDelay:
         from repro.parallel import retry_delay
 
         assert retry_delay(1.0, 10, cap=2.0, token="t") == 2.0
-
-
-class TestCheckpointCrashSafety:
-    def _checkpoint(self, path, **kwargs):
-        from repro.parallel import Checkpoint
-
-        return Checkpoint(str(path), fingerprint="fp", **kwargs)
-
-    def test_roundtrip_survives_reload(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        first = self._checkpoint(path)
-        first.put("a", [1, 2])
-        first.put("b", [3])
-        resumed = self._checkpoint(path)
-        assert len(resumed) == 2
-        assert resumed.get("a") == [1, 2]
-
-    def test_truncated_checkpoint_tolerated_as_empty(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        ckpt = self._checkpoint(path)
-        ckpt.put("a", [1])
-        raw = path.read_text()
-        path.write_text(raw[: len(raw) // 2])   # torn mid-write
-        assert len(self._checkpoint(path)) == 0
-
-    def test_garbage_checkpoint_tolerated_as_empty(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("\x00\xff not json")
-        assert len(self._checkpoint(path)) == 0
-
-    def test_non_dict_json_tolerated_as_empty(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("[1, 2, 3]")
-        assert len(self._checkpoint(path)) == 0
-        path.write_text('{"fingerprint": "fp", "results": [1, 2]}')
-        assert len(self._checkpoint(path)) == 0
-
-    def test_fingerprint_mismatch_discards_results(self, tmp_path):
-        from repro.parallel import Checkpoint
-
-        path = tmp_path / "ckpt.json"
-        self._checkpoint(path).put("a", [1])
-        assert len(Checkpoint(str(path), fingerprint="other")) == 0
-
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        ckpt = self._checkpoint(path)
-        for index in range(5):
-            ckpt.put(f"k{index}", index)
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
-        assert path.exists()
 
 
 def _fails(item):   # module level: must pickle for the pool path

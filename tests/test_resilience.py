@@ -1,5 +1,5 @@
 """The resilience layer: fault injection, invariants, forensics, and the
-hardened campaign machinery (``resilient_map`` / ``Checkpoint``)."""
+hardened campaign machinery (``resilient_map``)."""
 
 import os
 import signal
@@ -18,7 +18,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.fabric import System
-from repro.parallel import Checkpoint, resilient_map
+from repro.parallel import resilient_map
 from repro.pipeline.config import config_by_name
 from repro.pipeline.core import PipelinedPE
 from repro.resilience import (
@@ -453,14 +453,6 @@ class TestFaultCampaign:
         text = format_summary(results)
         assert "reg-bit-flip" in text and "TDX" in text
 
-    def test_checkpoint_cleared_after_completion(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
-        results = fault_campaign(
-            workers=1, checkpoint_path=path, **SMALL_CAMPAIGN_KWARGS
-        )
-        assert results == fault_campaign(workers=1, **SMALL_CAMPAIGN_KWARGS)
-        assert not os.path.exists(path)
-
     def test_trial_key_is_stable(self):
         trial = FaultTrial(config="TDX", workload="gcd",
                            fault="queue-drop", trial=3, scale=4, seed=0)
@@ -468,7 +460,7 @@ class TestFaultCampaign:
 
 
 # ---------------------------------------------------------------------------
-# resilient_map and Checkpoint
+# resilient_map
 # ---------------------------------------------------------------------------
 
 class TestResilientMap:
@@ -506,31 +498,3 @@ class TestResilientMap:
         with pytest.raises(CampaignError) as info:
             resilient_map(_boom, [1], workers=1)
         assert "ValueError" in info.value.worker_traceback
-
-    def test_checkpoint_resume_skips_completed_work(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        first = Checkpoint(path, fingerprint="f")
-        items = [1, 2, 3]
-        resilient_map(_double, items, workers=1, checkpoint=first, key=str)
-        resumed = Checkpoint(path, fingerprint="f")
-        assert len(resumed) == 3
-        # Every item is checkpointed, so the poison task never runs.
-        results = resilient_map(_boom, items, workers=1,
-                                checkpoint=resumed, key=str)
-        assert results == [2, 4, 6]
-
-    def test_checkpoint_fingerprint_mismatch_discards_results(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        stale = Checkpoint(path, fingerprint="old")
-        stale.put("1", 2)
-        assert len(Checkpoint(path, fingerprint="new")) == 0
-        assert len(Checkpoint(path, fingerprint="old")) == 1
-
-    def test_checkpoint_clear_removes_file(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        checkpoint = Checkpoint(path, fingerprint="f")
-        checkpoint.put("a", 1)
-        assert os.path.exists(path)
-        checkpoint.clear()
-        assert not os.path.exists(path)
-        assert len(checkpoint) == 0

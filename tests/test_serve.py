@@ -411,6 +411,27 @@ class TestCampaignClients:
             assert served.cpi(config) == direct.cpi(config)
             assert served.stack(config) == direct.stack(config)
 
+    def test_cpi_populate_resumes_from_file_store(self, tmp_path):
+        from repro.dse.cpi import CpiTable
+        from repro.pipeline.config import config_by_name
+
+        path = str(tmp_path / "cpi.sqlite")
+        configs = [config_by_name("TDX"), config_by_name("T|DX +P")]
+
+        def populate(scale):
+            with CampaignService(path, workers=2) as service:
+                table = CpiTable(scale=scale, seed=0)
+                table.populate(configs, service=InProcessClient(service))
+                executed = sum(job.executed for job in service.jobs.values())
+            return canonical_json([table._cpi, table._stacks]), executed
+
+        fresh, executed = populate(4)
+        assert executed == len(configs)
+        # A fresh service on the same file replays the table unexecuted.
+        assert populate(4) == (fresh, 0)
+        # Another scale is another campaign.
+        assert populate(5)[1] == len(configs)
+
     def test_sweep_matches_direct_run(self):
         from repro.dse.cpi import CpiTable
         from repro.dse.sweep import sweep
