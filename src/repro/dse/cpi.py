@@ -89,7 +89,6 @@ class CpiTable:
         self,
         configs: list[PipelineConfig],
         workers: int | None = None,
-        profile=None,
         service=None,
     ) -> None:
         """Simulate every config not already in the table, in parallel.
@@ -98,10 +97,6 @@ class CpiTable:
         pure function and results are merged in input order).  Killed
         workers are retried with the pool rebuilt, degrading to serial
         execution as a last resort.
-
-        ``profile`` (a :class:`repro.obs.campaign.CampaignProfile`)
-        records per-config wall-clock and worker utilization without
-        changing any result.
 
         ``service`` (a :class:`repro.serve.client.InProcessClient` or
         :class:`~repro.serve.client.HttpClient`) routes the campaign
@@ -127,9 +122,7 @@ class CpiTable:
             ])
         else:
             tasks = [(c, self.scale, self.seed, self.params) for c in missing]
-            results = resilient_map(
-                _simulate_config, tasks, workers, profile=profile
-            )
+            results = resilient_map(_simulate_config, tasks, workers)
         for name, cpi, stack in results:
             self._cpi[name] = cpi
             self._stacks[name] = stack

@@ -93,7 +93,6 @@ def sweep(
     tech: Technology = TECH65,
     include_fmax_points: bool = True,
     workers: int | None = None,
-    profile=None,
     service=None,
     prune=None,
 ) -> list[DesignPoint]:
@@ -106,10 +105,6 @@ def sweep(
     identical at any worker count; killed workers are retried (the
     :func:`repro.parallel.resilient_map` policy), degrading to serial
     execution if the pool keeps dying.
-
-    ``profile`` (a :class:`repro.obs.campaign.CampaignProfile`)
-    accumulates per-task timing across *both* phases — the CPI campaign
-    and the synthesis closure — into one structured campaign report.
 
     ``service`` (a :mod:`repro.serve` client) routes both phases —
     ``cpi-config`` and ``dse-close`` task kinds — through the
@@ -136,12 +131,11 @@ def sweep(
         return pruned_sweep(
             configs, cpi_table, prune, tech=tech,
             include_fmax_points=include_fmax_points, workers=workers,
-            profile=profile, service=service,
+            service=service,
         )
     # Fill the CPI table first (parallel across configs) so the closure
     # tasks below are cheap, pure and picklable.
-    cpi_table.populate(configs, workers=workers, profile=profile,
-                       service=service)
+    cpi_table.populate(configs, workers=workers, service=service)
     if service is not None:
         per_config = service.map("dse-close", [
             {
@@ -157,9 +151,7 @@ def sweep(
             (config, cpi_table.cpi(config), tech, include_fmax_points)
             for config in configs
         ]
-        per_config = resilient_map(
-            _close_config, tasks, workers, profile=profile
-        )
+        per_config = resilient_map(_close_config, tasks, workers)
     points: list[DesignPoint] = []
     for sublist in per_config:
         points.extend(sublist)

@@ -35,7 +35,6 @@ import sys
 import tempfile
 
 from repro.dse.cpi import CpiTable
-from repro.obs.campaign import CampaignProfile, format_campaign_report
 from repro.obs.events import Telemetry
 from repro.obs.runner import run_instrumented
 from repro.obs.trace_export import export_chrome_trace
@@ -167,20 +166,22 @@ def _smoke(args) -> int:
             return _fail(f"{workload}: worker counters diverge under telemetry")
         print(f"  bit-identical: {bare.cycles} cycles with telemetry on or off")
 
-    # 5. Campaign profiling on a tiny CPI campaign.
-    print("\n[campaign] profiled CPI campaign (2 configs)...")
-    profile = CampaignProfile(label="smoke-cpi")
-    table = CpiTable(scale=min(scale, 8))
-    table.populate(all_configs()[:2], workers=1, profile=profile)
-    report = profile.report()
-    if report["completed_tasks"] != 2:
-        return _fail(
-            f"campaign profile recorded {report['completed_tasks']} tasks, "
-            "expected 2"
-        )
-    if report["worker_utilization"] is None:
-        return _fail("campaign profile has no utilization")
-    print(format_campaign_report(report))
+    # 5. Job accounting on a tiny CPI campaign run through the service.
+    print("\n[campaign] cpi-config job (2 configs) on an in-process service...")
+    from repro.serve import CampaignService, InProcessClient
+
+    with CampaignService(None, workers=1) as service:
+        table = CpiTable(scale=min(scale, 8))
+        table.populate(all_configs()[:2], service=InProcessClient(service))
+        [status] = [job.status() for job in service.jobs.values()]
+    if status["resolved"] != 2:
+        return _fail(f"cpi-config job resolved {status['resolved']} "
+                     "tasks, expected 2")
+    if not {"elapsed_seconds", "busy_seconds"} <= status.keys():
+        return _fail("job status lacks elapsed_seconds/busy_seconds")
+    print(f"  {status['resolved']}/{status['total']} tasks in "
+          f"{status['elapsed_seconds']:.2f}s, busy "
+          f"{status['busy_seconds']:.2f}s, slowest {status['slowest_task']}")
 
     print(f"\nobservability gate passed ({len(workloads)} workloads)")
     return 0

@@ -13,10 +13,12 @@ the same two environment switches:
 * ``REPRO_WORKERS=N`` — cap the pool size without touching call sites.
 
 The entry point is :func:`resilient_map`, an order-preserving map
-hardened for long campaigns: per-task timeouts, bounded retry with
-exponential backoff when the pool dies, graceful degradation to
-in-process serial execution as a last resort, and worker exceptions
-re-raised with their original tracebacks
+hardened for long campaigns.  Above one worker it runs the tree's one
+hardened pool, :class:`repro.serve.supervisor.Supervisor`, for the
+duration of the call: per-task timeouts, crashed or hung workers
+retried with deterministic exponential backoff (:func:`retry_delay`),
+tasks that keep killing workers run in-process as a last resort, and
+worker exceptions re-raised with their original tracebacks
 (:class:`~repro.errors.CampaignError`).  It preserves input order, so a
 campaign produces byte-identical results at any worker count —
 ``tests/test_parallel.py`` and ``tests/test_resilience.py`` hold it to
@@ -30,9 +32,9 @@ store dedups and resumes by task fingerprint (:mod:`repro.serve.store`).
 
 from __future__ import annotations
 
+import functools
 import os
 import random
-import time
 import traceback
 from collections.abc import Callable, Iterable, Sequence
 from typing import TypeVar
@@ -88,23 +90,16 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _call_traced(fn, item):
-    """Worker-side wrapper: capture the full traceback and the task's
-    wall-clock across the pickle boundary (module level so it pickles).
+    """Worker-side wrapper: capture the full traceback across the pickle
+    boundary (module level so it pickles).
 
-    The timing rides back with every result so campaign profiling
-    (:class:`repro.obs.campaign.CampaignProfile`) measures task cost
-    inside the worker, unpolluted by pool scheduling; it is dropped on
-    the floor when no profile is attached.
+    :func:`resilient_map` looks it up on this module each call, so a
+    wrapper installed here from outside also runs in the workers.
     """
-    start = time.perf_counter()
     try:
-        return (True, fn(item), time.perf_counter() - start)
+        return (True, fn(item))
     except Exception as exc:
-        return (
-            False,
-            (type(exc).__name__, str(exc), traceback.format_exc()),
-            time.perf_counter() - start,
-        )
+        return (False, (type(exc).__name__, str(exc), traceback.format_exc()))
 
 
 class WorkerTraceback(Exception):
@@ -140,103 +135,85 @@ def resilient_map(
     workers: int | None = None,
     *,
     timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.25,
-    profile=None,
 ) -> list[_R]:
     """Hardened order-preserving map for long campaigns.
 
-    * ``timeout`` bounds the wait for any single task's result; a stall
-      abandons the pool and counts as one retry.
-    * Pool failures (a killed worker breaks the whole pool) retry up to
-      ``retries`` times with exponential backoff, resubmitting only the
-      tasks that have not produced results yet.
-    * When retries are exhausted the remaining tasks degrade to
-      in-process serial execution, so a campaign finishes even on a host
-      where process pools are unreliable.
+    * At one worker every task runs in-process, in order.
+    * Above one worker the tasks run on a
+      :class:`~repro.serve.supervisor.Supervisor` pool that lives for
+      this call only; every worker is joined before it returns or
+      raises.
+    * ``timeout`` bounds each task's run in a worker (``None``: no
+      deadline); a task past it has its worker killed and is retried.
+    * A crashed or hung worker is respawned and its task retried after
+      a deterministic backoff.  A task that keeps killing workers is
+      quarantined by the pool and then runs in-process, so a campaign
+      finishes even on a host where worker processes are unreliable.
     * A task that *raises* is not retried — the exception is
       deterministic campaign input — and propagates as
       :class:`~repro.errors.CampaignError` carrying the worker's
       original traceback.
-    * With ``profile`` (a :class:`repro.obs.campaign.CampaignProfile`),
-      per-task wall-clock, worker utilization and retry/timeout counts
-      are recorded — observation only, results are unchanged.
 
     Results are identical to ``[fn(x) for x in items]`` at any worker
     count, on any retry path.
     """
     work: Sequence[_T] = list(items)
     results: list = [None] * len(work)
-    pending = list(range(len(work)))
-
-    def record(index: int, value, seconds: float) -> None:
-        results[index] = value
-        if profile is not None:
-            profile.task_done(index, None, seconds)
-
-    count = min(resolve_workers(workers), len(pending))
-    if profile is not None:
-        profile.begin(total=len(work), workers=max(count, 1))
-    try:
-        if count > 1:
-            pending = _pool_rounds(
-                fn, work, pending, record, count, timeout, retries, backoff,
-                profile,
-            )
-            if pending and profile is not None:
-                profile.degraded_to_serial()
-        # Serial path: first choice at one worker, last resort when the
-        # pool kept dying.  Failures still carry a traceback for parity
-        # with the pool path.
-        for index in pending:
-            ok, payload, seconds = _call_traced(fn, work[index])
-            if not ok:
-                _raise_task_failure(index, payload)
-            record(index, payload, seconds)
-    finally:
-        if profile is not None:
-            profile.finish()
+    pending: Iterable[int] = range(len(work))
+    count = min(resolve_workers(workers), len(work))
+    if count > 1:
+        pending = _supervised(fn, work, results, count, timeout)
+    # Serial path: first choice at one worker, last resort for tasks
+    # the pool quarantined.  Failures still carry a traceback for
+    # parity with the pool path.
+    for index in pending:
+        ok, payload = _call_traced(fn, work[index])
+        if not ok:
+            _raise_task_failure(index, payload)
+        results[index] = payload
     return results
 
 
-def _pool_rounds(
-    fn, work, pending, record, count, timeout, retries, backoff, profile=None
-) -> list[int]:
-    """Run pool attempts with bounded retry; returns indices still unrun."""
-    from concurrent.futures import ProcessPoolExecutor, TimeoutError as PoolTimeout
-    from concurrent.futures.process import BrokenProcessPool
+def _supervised(fn, work, results, count, timeout) -> list[int]:
+    """Run every task on a supervised pool, filling ``results``;
+    returns the indices of the tasks the pool quarantined.
 
-    attempt = 0
-    while pending:
-        pool = ProcessPoolExecutor(max_workers=min(count, len(pending)))
-        done: list[int] = []
-        try:
-            futures = [
-                (index, pool.submit(_call_traced, fn, work[index]))
-                for index in pending
-            ]
-            for index, future in futures:
-                ok, payload, seconds = future.result(timeout=timeout)
-                if not ok:
-                    _raise_task_failure(index, payload)
-                record(index, payload, seconds)
-                done.append(index)
-        except (BrokenProcessPool, PoolTimeout, OSError) as exc:
-            if profile is not None:
-                if isinstance(exc, PoolTimeout):
-                    profile.timeout()
-                profile.pool_retry()
-            pending = [index for index in pending if index not in set(done)]
-            attempt += 1
-            if attempt > retries:
-                return pending    # degrade to serial in the caller
-            # Deterministic schedule: the same campaign retries sleep
-            # the same jittered delays on every run (seeded by attempt).
-            time.sleep(retry_delay(backoff, attempt, token="pool"))
-            continue
-        finally:
-            # Never block on a wedged worker; lingering processes are
-            # reaped by the OS when they finish or die.
-            pool.shutdown(wait=False, cancel_futures=True)
-        return []
-    return []
+    A failed task raises once every task before it has finished, so the
+    error is always the first failure in input order, as at one worker.
+    """
+    from repro.serve.supervisor import SupervisedTask, Supervisor, TaskOutcome
+
+    run = functools.partial(_call_traced, fn)
+    supervisor = Supervisor(workers=count, task_timeout=timeout)
+    unresolved = set(range(len(work)))
+    failures: dict[int, tuple] = {}
+    quarantined: list[int] = []
+    try:
+        for index, item in enumerate(work):
+            supervisor.submit(SupervisedTask(
+                str(index), "map", item, str(index), run=run,
+            ))
+        while unresolved:
+            for outcome in supervisor.poll():
+                index = int(outcome.task.task_id)
+                unresolved.discard(index)
+                if outcome.status == TaskOutcome.QUARANTINED:
+                    quarantined.append(index)
+                elif outcome.status == TaskOutcome.FAILED:
+                    # The result did not survive the pickle boundary.
+                    failures[index] = outcome.error
+                else:
+                    ok, payload = outcome.result
+                    if ok:
+                        results[index] = payload
+                    else:
+                        failures[index] = payload
+            if failures:
+                first = min(failures)
+                if first < min(unresolved, default=len(work)):
+                    _raise_task_failure(first, failures[first])
+            if unresolved:
+                supervisor.wait()
+    finally:
+        supervisor.close()
+    return sorted(quarantined)

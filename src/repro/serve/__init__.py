@@ -10,7 +10,8 @@ DSE sweeps, fault campaigns, fuzz runs):
 * :mod:`~repro.serve.admission` — bounded priority job queue, per-client
   rate limiting, load shedding;
 * :mod:`~repro.serve.store` — durable content-fingerprint-keyed result
-  store (sqlite) providing dedup and crash-safe checkpointed resume;
+  store (sqlite): dedup, and resume of an interrupted campaign from
+  its completed tasks;
 * :mod:`~repro.serve.tasks` — the JSON-pure task-kind registry;
 * :mod:`~repro.serve.http` / :mod:`~repro.serve.client` — local
   HTTP/JSON API and the in-process/HTTP clients;
@@ -21,36 +22,42 @@ DSE sweeps, fault campaigns, fuzz runs):
 kill -9 resume demonstration; ``--serve`` runs the HTTP frontend.
 """
 
+import importlib
+
 from repro.serve import chaos as _chaos   # register chaos task kinds
-from repro.serve.admission import AdmissionController, AdmissionError
-from repro.serve.client import HttpClient, InProcessClient
-from repro.serve.service import CampaignService, Job
-from repro.serve.store import ResultStore, canonical_json, task_fingerprint
-from repro.serve.supervisor import SupervisedTask, Supervisor, TaskOutcome
-from repro.serve.tasks import (
-    execute,
-    execute_traced,
-    register,
-    registered_kinds,
-)
 
 del _chaos
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionError",
-    "CampaignService",
-    "HttpClient",
-    "InProcessClient",
-    "Job",
-    "ResultStore",
-    "SupervisedTask",
-    "Supervisor",
-    "TaskOutcome",
-    "canonical_json",
-    "execute",
-    "execute_traced",
-    "register",
-    "registered_kinds",
-    "task_fingerprint",
-]
+#: Public name -> defining submodule.  Names load on first access, so
+#: importing one submodule (``resilient_map`` imports only the
+#: supervisor) does not pull in asyncio, sqlite3 and urllib with the
+#: service, store and HTTP client.
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "AdmissionError": "admission",
+    "CampaignService": "service",
+    "HttpClient": "client",
+    "InProcessClient": "client",
+    "Job": "service",
+    "ResultStore": "store",
+    "SupervisedTask": "supervisor",
+    "Supervisor": "supervisor",
+    "TaskOutcome": "supervisor",
+    "canonical_json": "store",
+    "execute": "tasks",
+    "execute_traced": "tasks",
+    "register": "tasks",
+    "registered_kinds": "tasks",
+    "task_fingerprint": "store",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

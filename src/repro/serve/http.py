@@ -8,7 +8,7 @@ POST     ``/jobs``               submit ``{kind, payloads, priority,
                                  client}``; 202 + ``{job_id}`` on
                                  admission, 429/503 + ``{reason,
                                  retry_after}`` when load is shed
-GET      ``/jobs/<id>``          job status (state, progress, profile)
+GET      ``/jobs/<id>``          job status (state, progress, timing)
 GET      ``/jobs/<id>/results``  ordered results once finished (409 while
                                  running, 500 with the failure otherwise)
 GET      ``/jobs/<id>/events``   Server-Sent-Events live progress: a

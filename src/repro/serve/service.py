@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import time
 
 from repro.errors import CampaignError
-from repro.obs.campaign import CampaignProfile
 from repro.obs.svc import JobEventStream, stats_metrics
 from repro.parallel import WorkerTraceback
 from repro.serve import tasks as task_registry
@@ -67,7 +67,11 @@ class Job:
         self.executed = 0
         self.shared = 0       # slots resolved by another task's execution
         self.submitted = time.time()
-        self.profile = CampaignProfile(label=job_id)
+        #: Monotonic activation and completion times.
+        self.started: float | None = None
+        self.ended: float | None = None
+        #: Slot -> worker-measured seconds, for the tasks this job ran.
+        self.task_seconds: dict[int, float] = {}
         #: Trace correlation (obs-attached services; ``trace_id == job_id``).
         self.trace_id: str | None = None
         self.span = None              # the job's root span
@@ -115,7 +119,16 @@ class Job:
     def finished(self) -> bool:
         return self.state in (Job.DONE, Job.FAILED)
 
+    @property
+    def elapsed_seconds(self) -> float:
+        if self.started is None:
+            return 0.0
+        end = time.monotonic() if self.ended is None else self.ended
+        return end - self.started
+
     def status(self) -> dict:
+        slowest = max(self.task_seconds.items(), key=lambda item: item[1],
+                      default=None)
         return {
             "job_id": self.job_id,
             "kind": self.kind,
@@ -129,7 +142,11 @@ class Job:
             "shared": self.shared,
             "failed": len(self.errors) - len(self.quarantined),
             "quarantined": len(self.quarantined),
-            "profile": self.profile.report(),
+            "elapsed_seconds": round(self.elapsed_seconds, 6),
+            "busy_seconds": round(sum(self.task_seconds.values()), 6),
+            "slowest_task": None if slowest is None else {
+                "slot": slowest[0], "seconds": round(slowest[1], 6),
+            },
         }
 
 
@@ -232,14 +249,19 @@ class CampaignService:
 
     def _activate(self, job: Job) -> None:
         job.state = Job.ACTIVE
-        job.profile.begin(
-            total=job.total, workers=self.supervisor.worker_count
-        )
+        job.started = time.monotonic()
+        kind = task_registry.get_kind(job.kind)
+        # Runners go through the registry by name, so the worker
+        # resolves the kind in its forked copy of the registry and a
+        # kind's functions need not pickle.
+        run = functools.partial(task_registry.execute, job.kind)
+        traced = (None if kind.traced is None
+                  else functools.partial(task_registry.execute_traced,
+                                         job.kind))
         for slot, fingerprint in enumerate(job.fingerprints):
             stored = self.store.get(fingerprint, default=_PENDING)
             if stored is not _PENDING:
                 job.from_store += 1
-                job.profile.checkpoint_hit()
                 if self.obs is not None and job.trace_id is not None:
                     now = self.obs.tracer.clock()
                     self.obs.tracer.record(
@@ -259,6 +281,8 @@ class CampaignService:
                 kind=job.kind,
                 payload=job.payloads[slot],
                 fingerprint=fingerprint,
+                run=run,
+                traced=traced,
             )
             if self.obs is not None and job.trace_id is not None:
                 span = self.obs.tracer.begin(
@@ -295,8 +319,7 @@ class CampaignService:
             for index, (job, slot) in enumerate(waiters):
                 if index == 0:
                     job.executed += 1
-                    job.profile.task_done(slot, task.fingerprint,
-                                          outcome.seconds)
+                    job.task_seconds[slot] = outcome.seconds
                 else:
                     job.shared += 1
                 self._close_task_span(job, slot, status="done")
@@ -329,7 +352,7 @@ class CampaignService:
         if job.finished or job.resolved < job.total:
             return
         job.state = Job.FAILED if (job.errors or job.quarantined) else Job.DONE
-        job.profile.finish()
+        job.ended = time.monotonic()
         if self.obs is not None and job.span is not None:
             self.obs.tracer.end(
                 job.span, state=job.state, executed=job.executed,

@@ -1,19 +1,28 @@
 """Supervised worker pool: health checks, kill/respawn, retry, quarantine.
 
-:func:`repro.parallel.resilient_map` hardens one *batch*; a service
-needs a pool that outlives any batch and any individual worker.  The
-:class:`Supervisor` owns N forked worker processes, each with a private
-inbox/outbox pair (``multiprocessing.SimpleQueue``), and is pumped by a
-non-blocking :meth:`Supervisor.poll` from the service's asyncio loop —
-every poll drains results, reaps crashed workers, kills workers whose
+The one hardened process pool in the tree.  The campaign service keeps
+a :class:`Supervisor` alive across jobs; :func:`repro.parallel.resilient_map`
+runs one for the duration of a single map.  The supervisor owns N
+forked worker processes, each with a private inbox/outbox pair
+(``multiprocessing.SimpleQueue``).  Every :class:`SupervisedTask`
+carries the picklable callable its worker runs, so the pool knows
+nothing about what it executes: the service hands it a task kind's
+runner, ``resilient_map`` hands it ``_call_traced`` bound to the mapped
+function.
+
+The pool is pumped by a non-blocking :meth:`Supervisor.poll` — every
+poll drains results, reaps crashed workers, kills workers whose
 in-flight task blew its deadline, respawns capacity, promotes
-backed-off retries, and dispatches ready tasks to idle workers.
+backed-off retries, and dispatches ready tasks to idle workers.  The
+service calls it from its asyncio loop; a synchronous caller calls
+:meth:`Supervisor.wait` between polls, which blocks on the worker
+outboxes and process sentinels until there is something to do.
 
 Failure taxonomy (the part tests pin down):
 
 * **task exception** — deterministic campaign input; the task fails
-  *immediately* with the worker's traceback (same no-retry policy as
-  ``resilient_map``), and the worker stays healthy;
+  *immediately* with the worker's traceback, and the worker stays
+  healthy;
 * **worker crash** — the process died (``os._exit``, segfault, OOM
   kill) with a task in flight; the task retries on a fresh worker after
   a capped, deterministically jittered exponential backoff
@@ -40,11 +49,12 @@ import collections
 import contextlib
 import heapq
 import multiprocessing
+import multiprocessing.connection
 import time
 import traceback
+from collections.abc import Callable
 
-from repro.parallel import retry_delay
-from repro.serve import tasks as task_registry
+from repro import parallel
 
 #: Worker -> supervisor message tag.
 _DONE = "done"
@@ -53,32 +63,34 @@ _DONE = "done"
 def _worker_main(worker_id: int, inbox, outbox) -> None:
     """Worker process loop: execute tasks from the inbox until ``None``.
 
-    Messages are 3-tuples ``(task_id, kind, payload)`` on an
-    uninstrumented pool; with a :class:`~repro.obs.svc.ServiceObs`
-    attached a 4th element carries trace context (``{"trace", "span",
-    "sim"}``) and the reply grows a matching 6th element with the
-    worker-side monotonic window (comparable across ``fork`` on Linux —
-    CLOCK_MONOTONIC is system-wide) plus the optional simulator
-    stage-track payload.  The byte format of the uninstrumented flow is
-    untouched.
+    Messages are 3-tuples ``(task_id, run, payload)`` and the worker
+    replies with ``run(payload)``.  With a
+    :class:`~repro.obs.svc.ServiceObs` attached a 4th element carries
+    trace context (``{"trace", "span", "sim"}``) and the reply grows a
+    matching 6th element with the worker-side monotonic window
+    (comparable across ``fork`` on Linux — CLOCK_MONOTONIC is
+    system-wide) plus the optional simulator stage-track payload; with
+    ``sim`` set, ``run`` is the task's traced twin and returns
+    ``(result, sim_trace)``.  The byte format of the uninstrumented flow
+    is untouched.
     """
     while True:
         message = inbox.get()
         if message is None:
             return
         if len(message) == 4:
-            task_id, kind, payload, ctx = message
+            task_id, run, payload, ctx = message
         else:
-            task_id, kind, payload = message
+            task_id, run, payload = message
             ctx = None
         start = time.perf_counter()
         started_mono = time.monotonic() if ctx is not None else 0.0
         try:
             sim = None
             if ctx is not None and ctx.get("sim"):
-                result, sim = task_registry.execute_traced(kind, payload)
+                result, sim = run(payload)
             else:
-                result = task_registry.execute(kind, payload)
+                result = run(payload)
             seconds = time.perf_counter() - start
             if ctx is None:
                 outbox.put((_DONE, task_id, True, result, seconds))
@@ -108,21 +120,31 @@ def _worker_main(worker_id: int, inbox, outbox) -> None:
 
 
 class SupervisedTask:
-    """One unit of work moving through the pool."""
+    """One unit of work moving through the pool.
+
+    ``run`` is the picklable ``payload -> result`` callable the worker
+    executes; ``traced``, when set, is its instrumented twin returning
+    ``(result, sim_trace)``, used when the attached obs asks for
+    simulator tracks.  ``kind`` only labels the task in events,
+    metrics and forensic reports.
+    """
 
     __slots__ = (
-        "task_id", "kind", "payload", "fingerprint",
+        "task_id", "kind", "payload", "fingerprint", "run", "traced",
         "attempts", "failures", "submitted_at",
         "trace_id", "span_id", "queue_span", "enqueued_at",
     )
 
-    def __init__(self, task_id: str, kind: str, payload: dict,
+    def __init__(self, task_id: str, kind: str, payload,
                  fingerprint: str, trace_id: str | None = None,
-                 span_id: str | None = None) -> None:
+                 span_id: str | None = None, *,
+                 run: Callable, traced: Callable | None = None) -> None:
         self.task_id = task_id
         self.kind = kind
         self.payload = payload
         self.fingerprint = fingerprint
+        self.run = run
+        self.traced = traced
         self.attempts = 0
         #: Attempt-history records for the forensic report.
         self.failures: list[dict] = []
@@ -357,7 +379,7 @@ class Supervisor:
                 error=(failure, detail, "", report),
             )
         self.metrics["task_retries"] += 1
-        delay = retry_delay(
+        delay = parallel.retry_delay(
             self.backoff_base, len(task.failures), cap=self.backoff_cap,
             token=task.fingerprint, seed=self.seed,
         )
@@ -420,16 +442,14 @@ class Supervisor:
                 track="worker serial", task=task.task_id,
                 kind=task.kind, attempt=task.attempts,
             )
-            traced = self.obs.sim_trace
+            traced = self.obs.sim_trace and task.traced is not None
         start = time.perf_counter()
         try:
             sim = None
             if traced:
-                result, sim = task_registry.execute_traced(
-                    task.kind, task.payload
-                )
+                result, sim = task.traced(task.payload)
             else:
-                result = task_registry.execute(task.kind, task.payload)
+                result = task.run(task.payload)
         except Exception as exc:
             if span is not None:
                 self.obs.tracer.end(span, ok=False,
@@ -600,17 +620,15 @@ class Supervisor:
                     track=f"worker {worker.worker_id}", task=task.task_id,
                     kind=task.kind, attempt=task.attempts,
                 )
-                message = (task.task_id, task.kind, task.payload, {
-                    "trace": task.trace_id,
-                    "span": worker.span.span_id,
-                    "sim": bool(
-                        self.obs.sim_trace
-                        and task_registry.get_kind(task.kind).traced
-                        is not None
-                    ),
-                })
+                sim = bool(self.obs.sim_trace and task.traced is not None)
+                message = (
+                    task.task_id, task.traced if sim else task.run,
+                    task.payload,
+                    {"trace": task.trace_id, "span": worker.span.span_id,
+                     "sim": sim},
+                )
             else:
-                message = (task.task_id, task.kind, task.payload)
+                message = (task.task_id, task.run, task.payload)
             try:
                 worker.inbox.put(message)
             except (OSError, ValueError):
@@ -624,11 +642,49 @@ class Supervisor:
                 self.pending.appendleft(task)
                 task.attempts -= 1
 
+    # -- blocking wait ---------------------------------------------------
+
+    def wait(self) -> None:
+        """Block until :meth:`poll` has something to do.
+
+        Sleeps on the worker outboxes and process sentinels, so a result
+        or a dead worker wakes it at once, and never past the earliest
+        task deadline or retry backoff.  Returns immediately when a task
+        is ready to dispatch, the pool runs serially, or nothing is in
+        flight or backed off.
+        """
+        if self.serial or not self.has_work or (self.pending and (
+                len(self._workers) < self.worker_count
+                or any(worker.idle for worker in self._workers.values()))):
+            return
+        due = [worker.deadline for worker in self._workers.values()
+               if worker.deadline is not None]
+        if self._delayed:
+            due.append(self._delayed[0][0])
+        limit = max(0.0, min(due) - self.clock()) if due else None
+        # The outbox's read end is the handle concurrent.futures waits
+        # on too; the sentinel turns ready when the process exits.
+        handles = [handle for worker in self._workers.values()
+                   for handle in (worker.outbox._reader,
+                                  worker.process.sentinel)]
+        if handles:
+            multiprocessing.connection.wait(handles, limit)
+        elif limit is not None:
+            time.sleep(limit)
+
     # -- shutdown --------------------------------------------------------
 
     def close(self) -> None:
-        """Stop every worker (politely, then by force)."""
+        """Stop every worker: idle ones politely, busy ones by force.
+
+        A busy worker's result can no longer land anywhere, so it is
+        killed at once instead of being waited for.  Every worker is
+        joined before this returns.
+        """
         for worker in list(self._workers.values()):
+            if not worker.idle:
+                self._kill_worker(worker, reason="shutdown")
+                continue
             with contextlib.suppress(OSError, ValueError):
                 worker.inbox.put(None)
         for worker in list(self._workers.values()):

@@ -1,23 +1,19 @@
 """Observability layer: event bus, metrics registry, trace export,
-campaign profiling, and the bit-identical-when-disabled guarantee."""
+and the bit-identical-when-disabled guarantee."""
 
 import json
 
 import pytest
 
 from repro.asm import assemble
-from repro.dse.cpi import CpiTable
 from repro.errors import SimulationError
 from repro.obs import (
-    CampaignProfile,
     MetricsRegistry,
     Telemetry,
     chrome_trace,
-    format_campaign_report,
     run_instrumented,
 )
 from repro.pipeline import PipelinedPE, config_by_name
-from repro.pipeline.config import all_configs
 from repro.arch.queue import TaggedQueue
 from repro.workloads.suite import run_workload
 
@@ -289,34 +285,6 @@ def test_stage_intervals_tile_without_overlap(stream_run):
             for (s1, e1, *_), (s2, __, *_) in zip(spans, spans[1:]):
                 assert e1 >= s1
                 assert s2 > e1  # no overlap within one stage track
-
-
-# ----------------------------------------------------------------------
-# Campaign profiling
-# ----------------------------------------------------------------------
-
-def test_campaign_profile_records_cpi_population():
-    profile = CampaignProfile(label="unit")
-    table = CpiTable(scale=6)
-    configs = all_configs()[:3]
-    table.populate(configs, workers=1, profile=profile)
-    report = profile.report()
-    assert report["completed_tasks"] == 3
-    assert report["planned_tasks"] == 3
-    assert report["elapsed_seconds"] > 0
-    assert 0.0 < report["worker_utilization"] <= 1.0
-    assert report["pool_retries"] == 0 and report["timeouts"] == 0
-    assert len(report["tasks"]) == 3
-    text = format_campaign_report(report)
-    assert "unit" in text and "3/3" in text
-
-
-def test_campaign_profile_accumulates_across_calls():
-    profile = CampaignProfile(label="accum")
-    table = CpiTable(scale=6)
-    table.populate(all_configs()[:1], workers=1, profile=profile)
-    table.populate(all_configs()[1:2], workers=1, profile=profile)
-    assert profile.report()["completed_tasks"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The resilience layer: fault injection, invariants, forensics, and the
 hardened campaign machinery (``resilient_map``)."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -58,6 +59,11 @@ def _double(x):
 
 def _boom(x):
     raise ValueError(f"bad input {x}")
+
+
+def _nap(x):
+    time.sleep(0.5)
+    return x
 
 
 def _kill_once(task):
@@ -437,7 +443,6 @@ class TestFaultCampaign:
             _trial_kill_once,
             [(trial, str(tmp_path)) for trial in tasks],
             workers=2,
-            retries=3,
         )
         assert os.path.exists(tmp_path / "killed")    # a worker really died
         assert survived == serial
@@ -472,19 +477,18 @@ class TestResilientMap:
 
     def test_killed_worker_is_retried(self, tmp_path):
         items = [(value, str(tmp_path)) for value in range(4)]
-        results = resilient_map(_kill_once, items, workers=2, retries=3)
+        results = resilient_map(_kill_once, items, workers=2)
         assert results == [0, 2, 4, 6]
 
     def test_degrades_to_serial_when_pool_keeps_dying(self):
         items = [(value, os.getpid()) for value in range(3)]
-        results = resilient_map(_kill_in_pool, items, workers=2,
-                                retries=0, backoff=0.01)
+        results = resilient_map(_kill_in_pool, items, workers=2)
         assert results == [10, 11, 12]
 
     def test_task_timeout_triggers_retry(self, tmp_path):
         items = [(value, str(tmp_path)) for value in range(2)]
         results = resilient_map(_stall_once, items, workers=2,
-                                timeout=0.5, retries=2, backoff=0.01)
+                                timeout=0.5)
         assert results == [1, 2]
 
     def test_worker_exception_carries_traceback(self):
@@ -493,6 +497,23 @@ class TestResilientMap:
         assert "ValueError" in info.value.worker_traceback
         assert "_boom" in info.value.worker_traceback
         assert "bad input" in str(info.value)
+
+    def test_map_blocks_instead_of_polling(self):
+        # Warm up first so one-off imports do not count.  The parent
+        # blocks on worker outboxes and sentinels: ~0.5% of wall time,
+        # where a 1 ms sleep-poll loop burns 8-12%.
+        resilient_map(_double, [0, 1], workers=2)
+        cpu, wall = time.process_time(), time.perf_counter()
+        assert resilient_map(_nap, list(range(8)), workers=2) == list(range(8))
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        assert cpu < 0.05 * wall
+
+    def test_no_worker_outlives_the_map(self):
+        assert resilient_map(_double, list(range(4)), workers=2) == [0, 2, 4, 6]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(CampaignError):
+            resilient_map(_boom, list(range(4)), workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_serial_exception_carries_traceback_too(self):
         with pytest.raises(CampaignError) as info:

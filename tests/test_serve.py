@@ -11,6 +11,7 @@ same orchestrator as ``python -m repro.serve --chaos``, scaled down.
 """
 
 import asyncio
+import functools
 import json
 import multiprocessing
 import os
@@ -232,6 +233,12 @@ class TestServiceBasics:
             stats = service.stats()
         assert status["state"] == "done"
         assert status["resolved"] == status["total"] == 1
+        assert status["executed"] == 1
+        assert status["from_store"] == status["shared"] == 0
+        assert "profile" not in status
+        assert status["elapsed_seconds"] >= status["busy_seconds"] > 0
+        assert status["slowest_task"]["slot"] == 0
+        assert status["slowest_task"]["seconds"] == status["busy_seconds"]
         assert stats["jobs"] == {"done": 1}
         assert stats["store"]["rows"] == 1
 
@@ -329,7 +336,10 @@ class TestFailureTaxonomy:
         # test process in serial mode); in serial mode that is still an
         # immediate deterministic failure.
         sup = Supervisor(serial=True)
-        task = supervisor_mod.SupervisedTask("t0", "chaos-fail", {}, "fp")
+        task = supervisor_mod.SupervisedTask(
+            "t0", "chaos-fail", {}, "fp",
+            run=functools.partial(execute, "chaos-fail"),
+        )
         sup.submit(task)
         [outcome] = sup.poll()
         assert outcome.status == "failed"
