@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from repro.analyze.crossval import stream_tag_sets, unreachable_retirements
@@ -192,6 +193,21 @@ def _perf_findings(args) -> list[Finding]:
     return findings
 
 
+def _timed_check(label: str, check, *args, **kwargs):
+    """Run ``check(*args, **kwargs)`` (one proof, returning a
+    CheckReport) and print its verdict, state count, wall seconds and
+    states/sec to stderr.  Timing stays out of the report itself, so
+    ``as_dict()`` is byte-stable across runs."""
+    start = time.perf_counter()
+    report = check(*args, **kwargs)
+    elapsed = time.perf_counter() - start
+    rate = report.states_total / elapsed if elapsed > 0 else 0.0
+    print(f"check: {label}: {report.verdict} ({report.states_total} "
+          f"states, {elapsed:.2f} s, {rate:,.0f} states/s)",
+          file=sys.stderr)
+    return report
+
+
 def _check_findings(args) -> list[Finding]:
     """The ``--check`` mode: bounded equivalence proofs + the
     bidirectional checker-vs-fuzzer cross-validation gate."""
@@ -226,10 +242,9 @@ def _check_findings(args) -> list[Finding]:
                 ))
                 continue
             program, streams, params = available[name]
-            report = check_program(program, streams, params,
-                                   bounds=bounds, name=name)
-            print(f"check: workload {name}: {report.verdict} "
-                  f"({report.states_total} states)", file=sys.stderr)
+            report = _timed_check(f"workload {name}", check_program,
+                                  program, streams, params,
+                                  bounds=bounds, name=name)
             findings += _report_findings(report, f"workload/{name}")
 
     corpus_cases: list[dict] = []
@@ -241,16 +256,14 @@ def _check_findings(args) -> list[Finding]:
         corpus_cases = [json.loads(path.read_text()) for path in paths]
     for case in corpus_cases:
         name = case.get("name", "case")
-        report = check_case(case, DEFAULT_PARAMS, bounds=bounds)
-        print(f"check: corpus {name}: {report.verdict} "
-              f"({report.states_total} states)", file=sys.stderr)
+        report = _timed_check(f"corpus {name}", check_case,
+                              case, DEFAULT_PARAMS, bounds=bounds)
         findings += _report_findings(report, f"corpus/{name}")
 
     for index in range(args.fuzz):
         case = generate_case(args.seed + index)
-        report = check_case(case, DEFAULT_PARAMS, bounds=bounds)
-        print(f"check: fuzz {case['name']}: {report.verdict} "
-              f"({report.states_total} states)", file=sys.stderr)
+        report = _timed_check(f"fuzz {case['name']}", check_case,
+                              case, DEFAULT_PARAMS, bounds=bounds)
         findings += _report_findings(report, f"fuzz/{case['name']}")
 
     # Cross-validation gate: fuzzer and checker must agree on the

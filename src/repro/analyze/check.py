@@ -135,7 +135,14 @@ class _Diverged(Exception):
 
 
 class _Explorer:
-    """BFS over one PE's schedule-induced state space."""
+    """BFS over one PE's schedule-induced state space.
+
+    Each distinct PE snapshot is interned once to a small integer id, so
+    a node key is ``(state id, delivered, produced)``: the dicts below
+    hash a few small tuples per lookup instead of the whole nested
+    snapshot, and equal snapshots reached along different paths share
+    one stored tuple.
+    """
 
     def __init__(self, pe, streams: tuple[tuple, ...], capacity: int,
                  bounds: CheckBounds, reference: dict | None) -> None:
@@ -149,6 +156,10 @@ class _Explorer:
         self.num_inputs = len(pe.inputs)
         self.num_outputs = len(pe.outputs)
         self.out_index = 6 if isinstance(pe, PipelinedPE) else 5
+        self.state_ids: dict[tuple, int] = {}   # PE snapshot -> id
+        self.states: list[tuple] = []           # id -> PE snapshot
+        #: Per state id: every output-drain choice and the id it leads to.
+        self.drains: dict[int, list[tuple[tuple, int]]] = {}
         self.parents: dict[tuple, tuple] = {}
         self.children: dict[tuple, list[tuple]] = {}
         self.halted: list[tuple] = []
@@ -159,9 +170,16 @@ class _Explorer:
 
     # -- state plumbing -------------------------------------------------
 
+    def _intern(self, state: tuple) -> int:
+        sid = self.state_ids.get(state)
+        if sid is None:
+            sid = self.state_ids[state] = len(self.states)
+            self.states.append(state)
+        return sid
+
     def _root(self) -> tuple:
         return node_key(
-            self.pe.snapshot_arch_state(),
+            self._intern(self.pe.snapshot_arch_state()),
             (0,) * self.num_inputs,
             ((),) * self.num_outputs,
         )
@@ -193,6 +211,35 @@ class _Explorer:
             remaining = len(self.streams[q]) - delivered[q]
             per_queue.append(range(0, min(free, remaining) + 1))
         return list(product(*per_queue))
+
+    def _drain_options(self, sid: int) -> list[tuple[tuple, int]]:
+        """``(drain, state id)`` for every way to drain the outputs of
+        state ``sid``, in :func:`itertools.product` order.
+
+        Drain combinations are free derivations of the encoded state:
+        trimming k entries off an output queue's head needs no
+        re-simulation.  The list is computed once per state id.
+        """
+        options = self.drains.get(sid)
+        if options is not None:
+            return options
+        state = self.states[sid]
+        out_states = state[self.out_index]
+        options = []
+        for drain in product(*(range(len(live) + 1)
+                               for live, _ in out_states)):
+            if any(drain):
+                trimmed = tuple(
+                    (live[drain[q]:], staged)
+                    for q, (live, staged) in enumerate(out_states)
+                )
+                options.append((drain, self._intern(
+                    state[:self.out_index] + (trimmed,)
+                    + state[self.out_index + 1:])))
+            else:
+                options.append((drain, sid))
+        self.drains[sid] = options
+        return options
 
     def _path(self, key: tuple, action: tuple | None) -> list[tuple]:
         """Action list from the root to ``key`` (plus a final action)."""
@@ -243,11 +290,15 @@ class _Explorer:
         self.complete = True
 
     def _expand(self, key: tuple) -> list[tuple]:
-        state, delivered, produced = key
+        sid, delivered, produced = key
+        state = self.states[sid]
         if state[3]:            # halted: terminal node
             self.children[key] = []
             return []
         pe = self.pe
+        parents = self.parents
+        no_drain = (0,) * self.num_outputs
+        prev_outs = state[self.out_index]
         successors: list[tuple] = []
         edges: list[tuple] = []
         for deliver in self._deliver_options(state, delivered):
@@ -266,20 +317,22 @@ class _Explorer:
                 # surface as exceptions before they surface as state).
                 raise _Diverged(
                     "crash", f"{type(exc).__name__}: {exc}",
-                    self._path(key, (deliver, (0,) * self.num_outputs)),
+                    self._path(key, (deliver, no_drain)),
                 ) from None
             new_delivered = tuple(
                 delivered[q] + deliver[q] for q in range(self.num_inputs)
             )
-            # Record (and prefix-check) entries committed this cycle.
-            new_produced = []
-            for q, queue in enumerate(pe.outputs):
+            new_state = pe.snapshot_arch_state()
+            # Record (and prefix-check) entries committed this cycle:
+            # output queues only grow during a step.
+            new_produced = produced
+            for q, (live, _) in enumerate(new_state[self.out_index]):
+                start = len(prev_outs[q][0])
+                if len(live) <= start:
+                    continue
                 log = produced[q]
-                fresh = tuple(
-                    (e.value, e.tag)
-                    for e in list(queue._live)[len(state[self.out_index][q][0]):]
-                )
-                if self.reference is not None and fresh:
+                fresh = live[start:]
+                if self.reference is not None:
                     ref = self.reference["produced"][q]
                     for offset, entry in enumerate(fresh):
                         position = len(log) + offset
@@ -289,19 +342,18 @@ class _Explorer:
                                 f"output %o{q} entry {position}: produced "
                                 f"{entry}, golden stream has "
                                 f"{ref[position] if position < len(ref) else '<nothing>'}",
-                                self._path(
-                                    key, (deliver, (0,) * self.num_outputs)),
+                                self._path(key, (deliver, no_drain)),
                             )
-                new_produced.append(log + fresh)
-            new_produced = tuple(new_produced)
-            new_state = pe.snapshot_arch_state()
+                new_produced = (new_produced[:q] + (log + fresh,)
+                                + new_produced[q + 1:])
+            new_sid = self._intern(new_state)
             if pe.halted:
                 fingerprint = self._fingerprint(
                     new_state, new_delivered, new_produced)
-                action = (deliver, (0,) * self.num_outputs)
-                succ = node_key(new_state, new_delivered, new_produced)
-                if succ not in self.parents:
-                    self.parents[succ] = (key, action)
+                action = (deliver, no_drain)
+                succ = node_key(new_sid, new_delivered, new_produced)
+                if succ not in parents:
+                    parents[succ] = (key, action)
                     successors.append(succ)
                 if self.reference is not None:
                     fields = _diff_fingerprints(
@@ -315,28 +367,10 @@ class _Explorer:
                 self.halted.append(succ)
                 edges.append(succ)
                 continue
-            # Drain combinations are free derivations of the encoded
-            # state: trimming k entries off an output queue's head needs
-            # no re-simulation.
-            out_states = new_state[self.out_index]
-            drain_ranges = [
-                range(0, len(out_states[q][0]) + 1)
-                for q in range(self.num_outputs)
-            ]
-            for drain in product(*drain_ranges):
-                if any(drain):
-                    trimmed = tuple(
-                        (live[drain[q]:], staged)
-                        for q, (live, staged) in enumerate(out_states)
-                    )
-                    drained_state = (new_state[:self.out_index]
-                                     + (trimmed,)
-                                     + new_state[self.out_index + 1:])
-                else:
-                    drained_state = new_state
-                succ = node_key(drained_state, new_delivered, new_produced)
-                if succ not in self.parents:
-                    self.parents[succ] = (key, (deliver, drain))
+            for drain, drained in self._drain_options(new_sid):
+                succ = node_key(drained, new_delivered, new_produced)
+                if succ not in parents:
+                    parents[succ] = (key, (deliver, drain))
                     successors.append(succ)
                 edges.append(succ)
         self.transitions += len(edges)

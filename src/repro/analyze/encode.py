@@ -18,7 +18,10 @@ relative sequence numbers, speculation records, predictor counters),
 ``produced`` is the full committed output log per output queue.
 
 Everything is plain nested tuples — hashable, comparable, and cheap to
-build — so the BFS frontier is an ordinary dict keyed on nodes.
+build — so the BFS frontier is an ordinary dict keyed on nodes.  The
+checker interns each distinct ``pe_state`` to a small integer id and
+keys its nodes on ``(id, delivered, produced)``: CPython does not cache
+tuple hashes, so a deep snapshot would be re-hashed on every lookup.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from __future__ import annotations
 import hashlib
 
 
-def node_key(pe_state: tuple, delivered: tuple[int, ...],
+def node_key(pe_state: tuple | int, delivered: tuple[int, ...],
              produced: tuple[tuple, ...]) -> tuple:
-    """One canonical product-state node (hashable)."""
+    """One canonical product-state node (hashable); ``pe_state`` is a
+    snapshot or the checker's interned id for one."""
     return (pe_state, delivered, produced)
 
 
@@ -85,7 +89,9 @@ def roundtrips(pe) -> bool:
     """Whether ``pe``'s canonical state survives a restore round trip.
 
     The checker's soundness rests on restore being exact; tests (and the
-    paranoid) can assert this on any reachable state.
+    paranoid) can assert this on any reachable state.  Snapshots reuse
+    cached queue encodings, so this alone cannot catch a stale cache;
+    ``tests/test_check.py`` also compares against an uncached encoder.
     """
     state = pe.snapshot_arch_state()
     pe.restore_arch_state(state)

@@ -277,11 +277,7 @@ class FunctionalPE:
         """
         scratch = ()
         if self.scratchpad is not None:
-            scratch = tuple(
-                (address, word)
-                for address, word in enumerate(self.scratchpad.dump())
-                if word
-            )
+            scratch = self.scratchpad.nonzero()
         return (
             self.regs.snapshot(),
             self.preds.state,
@@ -299,8 +295,7 @@ class FunctionalPE:
         a stale decision can never alias the restored queue state.
         """
         regs, preds, scratch, halted, inputs, outputs = state
-        for index, value in enumerate(regs):
-            self.regs.write(index, value)
+        self.regs.restore(regs)
         self.preds.state = preds
         if self.scratchpad is not None:
             self.scratchpad.reset()

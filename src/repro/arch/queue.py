@@ -33,7 +33,16 @@ class QueueEntry:
 
 
 class TaggedQueue:
-    """A bounded FIFO of tagged words with staged enqueue."""
+    """A bounded FIFO of tagged words with staged enqueue.
+
+    Invariant: every mutation of ``_live`` or ``_staged`` bumps
+    ``version``.  Three caches rely on it: the memoizing schedulers'
+    trigger-decision caches (both models key them on summed queue
+    versions) and this queue's own :meth:`arch_state` encoding, which is
+    reused for as long as ``version`` has not moved.  Code outside this
+    class may read ``_live``/``_staged`` but must mutate them only
+    through the methods here.
+    """
 
     #: Observability seam: a :class:`repro.obs.events.Telemetry` sink, or
     #: ``None``.  A class attribute so uninstrumented queues carry no
@@ -52,6 +61,9 @@ class TaggedQueue:
         #: schedulers sum these versions into a cheap state signature:
         #: an unchanged sum guarantees unchanged queue status.
         self.version = 0
+        #: :meth:`arch_state` encoding and the ``version`` it was built at.
+        self._encoding: tuple = ((), ())
+        self._encoding_version = 0
 
     # -- producer side --------------------------------------------------
 
@@ -193,21 +205,30 @@ class TaggedQueue:
 
         The bounded model checker's state encoding; restore with
         :meth:`restore_arch`.  Capacity and name are configuration, not
-        state, so they are not included.
+        state, so they are not included.  The encoding is cached until
+        ``version`` moves, so an untouched queue costs one comparison.
         """
-        return (
-            tuple((entry.value, entry.tag) for entry in self._live),
-            tuple((entry.value, entry.tag) for entry in self._staged),
-        )
+        if self._encoding_version != self.version:
+            self._encoding = (
+                tuple((entry.value, entry.tag) for entry in self._live),
+                tuple((entry.value, entry.tag) for entry in self._staged),
+            )
+            self._encoding_version = self.version
+        return self._encoding
 
     def restore_arch(self, state: tuple) -> None:
         """Restore an :meth:`arch_state` snapshot (bumps ``version`` so
-        memoized scheduler decisions cannot alias the restored state)."""
-        live, staged = state
-        self._live.clear()
-        self._live.extend(QueueEntry(value, tag) for value, tag in live)
-        self._staged[:] = [QueueEntry(value, tag) for value, tag in staged]
+        memoized scheduler decisions cannot alias the restored state).
+
+        A queue already holding ``state`` is left as it is."""
+        if self._encoding_version != self.version or self._encoding != state:
+            live, staged = state
+            self._live.clear()
+            self._live.extend(QueueEntry(value, tag) for value, tag in live)
+            self._staged[:] = [QueueEntry(value, tag) for value, tag in staged]
+            self._encoding = state
         self.version += 1
+        self._encoding_version = self.version
 
     def entries(self) -> tuple[QueueEntry, ...]:
         """Non-destructive view of every pending entry, live then staged.

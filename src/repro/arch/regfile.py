@@ -30,5 +30,14 @@ class RegisterFile:
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self._regs)
 
+    def restore(self, values: tuple[int, ...]) -> None:
+        """Overwrite every register with a :meth:`snapshot`."""
+        if len(values) != len(self._regs):
+            raise SimulationError(
+                f"restore of {len(values)} registers into a file of "
+                f"{len(self._regs)}"
+            )
+        self._regs[:] = values
+
     def __len__(self) -> int:
         return len(self._regs)

@@ -754,11 +754,7 @@ class PipelinedPE:
             ))
         scratch = ()
         if self.scratchpad is not None:
-            scratch = tuple(
-                (address, word)
-                for address, word in enumerate(self.scratchpad.dump())
-                if word
-            )
+            scratch = self.scratchpad.nonzero()
         return (
             self.regs.snapshot(),
             self.preds.state,
@@ -791,8 +787,7 @@ class PipelinedPE:
         """
         (regs, preds, scratch, halted, halt_pending, inputs, outputs,
          queue_state, pipe, specs, predictor) = state
-        for index, value in enumerate(regs):
-            self.regs.write(index, value)
+        self.regs.restore(regs)
         self.preds.state = preds
         if self.scratchpad is not None:
             self.scratchpad.reset()

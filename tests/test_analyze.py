@@ -1,6 +1,7 @@
 """Static analyzer: lint fixtures, fabric rules, cross-validation."""
 
 import json
+import re
 
 import pytest
 
@@ -484,6 +485,13 @@ class TestCli:
                              "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "partition-bound" in {f["rule"] for f in payload["findings"]}
+
+    def test_check_line_reports_wall_and_states_per_second(self, capsys):
+        assert analyze_main(["--check", "--workloads", "stream",
+                             "--check-depth", "1"]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"check: workload stream: proved \(\d+ states, "
+                         r"\d+\.\d\d s, [\d,]+ states/s\)", err), err
 
     def test_perf_excludes_other_modes(self):
         with pytest.raises(SystemExit):

@@ -40,6 +40,15 @@ class TestRegisterFile:
         regs.reset()
         assert regs.snapshot() == (0,) * 8
 
+    def test_restore_overwrites_every_register(self):
+        regs = RegisterFile(P)
+        regs.write(3, 9)
+        regs.restore((1, 2, 3, 4, 5, 6, 7, 8))
+        assert regs.snapshot() == (1, 2, 3, 4, 5, 6, 7, 8)
+        with pytest.raises(SimulationError):
+            regs.restore((0,) * (P.num_regs - 1))
+        assert len(regs) == P.num_regs
+
 
 class TestPredicateFile:
     def test_initial_state(self):
@@ -110,3 +119,33 @@ class TestScratchpad:
         pad.store(0, 1)
         pad.reset()
         assert pad.load(0) == 0
+
+    def test_reset_after_preload_and_store_clears_everything(self):
+        pad = Scratchpad(P)
+        pad.preload([4, 5, 6], base=20)
+        pad.store(200, 7)
+        pad.store(21, 0)
+        assert pad.nonzero() == ((20, 4), (22, 6), (200, 7))
+        pad.reset()
+        assert pad.dump() == [0] * P.scratchpad_words
+        assert pad.nonzero() == ()
+
+    def test_nonzero_matches_a_full_scan(self):
+        pad = Scratchpad(P)
+        pad.store(9, 3)
+        pad.store(2, 1 << 32)      # truncates to zero
+        pad.preload([0, 8], base=100)
+        assert pad.nonzero() == tuple(
+            (address, word) for address, word in enumerate(pad.dump())
+            if word)
+
+    def test_dump_range(self):
+        pad = Scratchpad(P)
+        assert pad.dump(0, 0) == []
+        assert pad.dump(P.scratchpad_words - 1, 1) == [0]
+        with pytest.raises(SimMemoryError):
+            pad.dump(0, P.scratchpad_words + 1)
+        with pytest.raises(SimMemoryError):
+            pad.dump(4, -1)
+        with pytest.raises(SimMemoryError):
+            pad.dump(P.scratchpad_words, 0)

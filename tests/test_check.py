@@ -4,6 +4,8 @@ import copy
 import json
 import os
 
+import pytest
+
 import repro.pipeline.queue_status as qs
 from repro.analyze.check import (
     CheckBounds,
@@ -137,6 +139,95 @@ class TestCanonicalState:
         digest = node_digest((state, (0,) * 4, ((),) * 4))
         assert len(digest) == 12 and digest == node_digest(
             (state, (0,) * 4, ((),) * 4))
+
+
+def _reference_encoding(pe):
+    """Uncached ``snapshot_arch_state``: every field read straight from
+    the PE's storage, with no queue encoding cache and no scratchpad
+    written-set, so a stale cache cannot agree with it by construction."""
+    def queues(qs):
+        return tuple(
+            (tuple((e.value, e.tag) for e in q._live),
+             tuple((e.value, e.tag) for e in q._staged))
+            for q in qs)
+
+    scratch = tuple((address, word)
+                    for address, word in enumerate(pe.scratchpad._words)
+                    if word)
+    head = (tuple(pe.regs._regs), pe.preds.state, scratch, pe.halted)
+    if isinstance(pe, FunctionalPE):
+        return head + (queues(pe.inputs), queues(pe.outputs))
+    seqs = sorted({e.seq for e in pe._pipe if e is not None}
+                  | {s.owner_seq for s in pe._specs})
+    rank = {seq: index for index, seq in enumerate(seqs)}
+    pipe = tuple(
+        None if e is None else (
+            e.slot, rank[e.seq], e.captured, e.operands,
+            None if e.result is None
+            else (e.result.value, e.result.halt, e.result.store),
+            e.result_ready, e.pred_committed)
+        for e in pe._pipe)
+    specs = tuple((rank[s.owner_seq], s.pred_index, s.predicted,
+                   s.fallback, s.forced) for s in pe._specs)
+    book = pe._queue_state
+    return head + (
+        pe._halt_pending, queues(pe.inputs), queues(pe.outputs),
+        (tuple(book.pending_deqs), tuple(book.sched_deqs),
+         tuple(book.pending_enqs)),
+        pipe, specs,
+        (tuple(pe.predictor.counters), pe.predictor.force_invert_next),
+    )
+
+
+class TestReferenceEncoding:
+    """Snapshots come from caches (queue encodings, the scratchpad's
+    written set), so a snapshot -> restore -> snapshot round trip can pass
+    on a stale cache.  Compare against the uncached encoding instead, on
+    every state a full exploration snapshots or restores."""
+
+    CONFIGS = ("TDX", "T|D|X +Q", "TDX1|X2 +pad", "TD|X +P",
+               "T|D|X1|X2 +P+Q")
+
+    # alu-roundtrip-2 is the only corpus case that uses ssw/lsw;
+    # fuzz-125-min keeps several queues busy across thousands of states.
+    @pytest.mark.parametrize("name", ["alu-roundtrip-2", "fuzz-125-min"])
+    def test_every_explored_state_matches_the_reference(self, monkeypatch,
+                                                        name):
+        seen = {"snapshots": 0, "restores": 0, "scratch": 0}
+
+        def checked(cls):
+            snapshot = cls.snapshot_arch_state
+            restore = cls.restore_arch_state
+
+            def snapshot_arch_state(pe):
+                state = snapshot(pe)
+                assert state == _reference_encoding(pe)
+                seen["snapshots"] += 1
+                seen["scratch"] += bool(state[2])
+                return state
+
+            def restore_arch_state(pe, state):
+                restore(pe, state)
+                assert _reference_encoding(pe) == state
+                seen["restores"] += 1
+
+            monkeypatch.setattr(cls, "snapshot_arch_state",
+                                snapshot_arch_state)
+            monkeypatch.setattr(cls, "restore_arch_state",
+                                restore_arch_state)
+
+        checked(FunctionalPE)
+        checked(PipelinedPE)
+        case = _corpus_case(name)
+        configs = [c for c in ALL_CONFIGS if c.name in self.CONFIGS]
+        assert len(configs) == len(self.CONFIGS)
+        report = check_case(case, DEFAULT_PARAMS, configs=configs,
+                            bounds=BOUNDS2)
+        assert report.verdict == "proved"
+        assert seen["restores"] > 0
+        assert seen["snapshots"] > report.golden_states
+        if name == "alu-roundtrip-2":
+            assert seen["scratch"] > 0
 
 
 class TestProofs:

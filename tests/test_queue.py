@@ -155,3 +155,67 @@ class TestVersionCounter:
                 q.commit()
             assert q.version >= last
             last = q.version
+
+
+def _uncached(q):
+    """The :meth:`TaggedQueue.arch_state` encoding, read from the deques."""
+    return (tuple((e.value, e.tag) for e in q._live),
+            tuple((e.value, e.tag) for e in q._staged))
+
+
+class TestArchStateCache:
+    """``arch_state`` is cached against ``version``: every mutation must
+    invalidate it, or the checker would explore stale states."""
+
+    @staticmethod
+    def _loaded():
+        q = TaggedQueue(4)
+        for value in (1, 2):
+            q.enqueue(value, tag=value)
+        q.commit()
+        q.enqueue(3, tag=3)
+        return q
+
+    @pytest.mark.parametrize("mutate", [
+        lambda q: q.enqueue(7, tag=1),
+        lambda q: q.dequeue(),
+        lambda q: q.commit(),
+        lambda q: q.reset(),
+        lambda q: q.drain(),
+        lambda q: q.inject_tag_flip(0, 1),
+        lambda q: q.inject_value_flip(1, 0),
+        lambda q: q.inject_drop(0),
+        lambda q: q.inject_duplicate(0),
+    ], ids=["enqueue", "dequeue", "commit", "reset", "drain",
+            "inject_tag_flip", "inject_value_flip", "inject_drop",
+            "inject_duplicate"])
+    def test_every_mutation_invalidates(self, mutate):
+        q = self._loaded()
+        before = q.arch_state()
+        mutate(q)
+        after = q.arch_state()
+        assert after != before
+        assert after == _uncached(q)
+
+    def test_enqueue_after_restore_invalidates(self):
+        q = self._loaded()
+        q.restore_arch((((5, 0),), ()))
+        restored = q.arch_state()
+        assert restored == (((5, 0),), ())
+        q.enqueue(6)
+        assert q.arch_state() != restored
+        assert q.arch_state() == _uncached(q)
+
+    def test_restore_of_current_state_still_bumps_version(self):
+        q = self._loaded()
+        version = q.version
+        q.restore_arch(q.arch_state())
+        assert q.version > version
+        assert q.arch_state() == _uncached(q)
+
+    def test_restore_rebuilds_entries(self):
+        q = self._loaded()
+        target = (((9, 1), (8, 0)), ((7, 2),))
+        q.restore_arch(target)
+        assert _uncached(q) == target
+        assert q.dequeue() == QueueEntry(9, 1)
