@@ -46,6 +46,7 @@ from repro.parallel import resolve_workers
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.pipeline.config import all_configs
+from repro.serve.tasks import LocalClient
 from repro.workloads.suite import WORKLOADS, get_workload
 
 LOOP = """
@@ -185,7 +186,7 @@ def measure_campaign(
 
     table = CpiTable(scale=scale)
     start = time.perf_counter()
-    table.populate(configs, workers=workers)
+    table.populate(configs, service=LocalClient(workers))
     parallel = time.perf_counter() - start
     return serial, parallel
 

@@ -11,8 +11,8 @@ Run:  python examples/design_space.py [--full]
 
 Without --full a representative six-microarchitecture subset keeps the
 simulation campaign under a minute; --full sweeps the paper's complete
-32-microarchitecture matrix.  Measured CPIs are kept in
-``.dse_cpi_store.sqlite``, so a rerun skips the simulation campaign.
+32-microarchitecture matrix.  Measured CPIs and closed grids are kept
+in ``.dse_cpi_store.sqlite``, so a rerun skips the simulation campaign.
 """
 
 import sys
@@ -45,8 +45,8 @@ def main() -> None:
           f"ten-workload suite (cycle-accurate)...")
     table = CpiTable(scale=24)
     with CampaignService(store=".dse_cpi_store.sqlite") as service:
-        table.populate(configs, service=InProcessClient(service))
-    points = sweep(configs=configs, cpi_table=table)
+        points = sweep(configs=configs, cpi_table=table,
+                       service=InProcessClient(service))
     frontier = pareto_frontier(points)
     span = frontier_span(frontier)
 

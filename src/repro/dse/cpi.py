@@ -9,11 +9,13 @@ regenerating Figures 6-8.
 
 The campaign is embarrassingly parallel across configs — nothing is
 shared between two microarchitectures' simulations — so
-:meth:`CpiTable.populate` fans the per-config work across a process
-pool (see :mod:`repro.parallel` for the worker-count policy and the
-``REPRO_SERIAL`` escape hatch).  Parallel and serial populations
-produce identical tables: the per-config worker is a pure function of
-``(config, scale, seed, params)``.
+:meth:`CpiTable.populate` maps one ``cpi-config`` task per config
+(:mod:`repro.serve.tasks`) through a campaign client.  The default,
+:class:`~repro.serve.tasks.LocalClient`, fans the tasks across a
+supervised pool for the call (see :mod:`repro.parallel` for the
+worker-count policy and the ``REPRO_SERIAL`` escape hatch).  Every
+client and worker count produces the same table: each task is a pure
+function of ``(config, scale, seed, params)``.
 
 To keep results across runs, populate through the campaign service
 with a file-backed store (``populate(configs,
@@ -27,10 +29,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.parallel import resilient_map
 from repro.params import ArchParams, DEFAULT_PARAMS
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import PipelinedPE
+from repro.serve.tasks import DEFAULT_CLIENT
 from repro.workloads.suite import WORKLOADS, run_workload
 
 
@@ -60,16 +62,6 @@ def _campaign(
     )
 
 
-def _simulate_config(
-    task: tuple[PipelineConfig, int, int, ArchParams],
-) -> tuple[str, float, dict[str, float]]:
-    """Process-pool worker: one config's full campaign (module level so
-    it pickles)."""
-    config, scale, seed, params = task
-    cpi, stack = _campaign(config, scale, seed, params)
-    return config.name, cpi, stack
-
-
 class CpiTable:
     """Lazily simulated, cached per-config CPI (and CPI stacks)."""
 
@@ -85,47 +77,43 @@ class CpiTable:
         self._cpi: dict[str, float] = {}
         self._stacks: dict[str, dict[str, float]] = {}
 
-    def populate(
-        self,
-        configs: list[PipelineConfig],
-        workers: int | None = None,
-        service=None,
-    ) -> None:
+    def populate(self, configs: list[PipelineConfig],
+                 service=DEFAULT_CLIENT) -> None:
         """Simulate every config not already in the table, in parallel.
 
-        Results are identical to serial lazy evaluation (the worker is a
-        pure function and results are merged in input order).  Killed
-        workers are retried with the pool rebuilt, degrading to serial
-        execution as a last resort.
+        Results are identical to serial lazy evaluation (each task is a
+        pure function and results are merged in input order).
 
-        ``service`` (a :class:`repro.serve.client.InProcessClient` or
-        :class:`~repro.serve.client.HttpClient`) routes the campaign
-        through the supervised campaign service instead of a private
-        process pool: identical results, but deduped against the
-        service's durable store and supervised for worker crashes and
-        hangs (``cpi-config`` task kind).  With a file-backed store, a
-        rerun or an interrupted campaign executes only the configs the
-        store does not already hold.
+        ``service`` is the campaign client the ``cpi-config`` tasks run
+        through (default: a :class:`~repro.serve.tasks.LocalClient`, a
+        supervised pool for this call).  An
+        :class:`~repro.serve.client.InProcessClient` or
+        :class:`~repro.serve.client.HttpClient` dedups the tasks
+        against the service's durable store instead: with a file-backed
+        store, a rerun or an interrupted campaign executes only the
+        configs the store does not already hold.
         """
         missing = [c for c in configs if c.name not in self._cpi]
         if not missing:
             return
-        if service is not None:
-            results = service.map("cpi-config", [
-                {
-                    "config": c.name,
-                    "scale": self.scale,
-                    "seed": self.seed,
-                    "params": dataclasses.asdict(self.params),
-                }
-                for c in missing
-            ])
-        else:
-            tasks = [(c, self.scale, self.seed, self.params) for c in missing]
-            results = resilient_map(_simulate_config, tasks, workers)
+        results = service.map("cpi-config",
+                              [self._payload(c) for c in missing])
         for name, cpi, stack in results:
             self._cpi[name] = cpi
             self._stacks[name] = stack
+
+    def _payload(self, config: PipelineConfig) -> dict:
+        payload = {
+            "config": config.name,
+            "scale": self.scale,
+            "seed": self.seed,
+            "params": dataclasses.asdict(self.params),
+        }
+        # The name does not carry the speculation depth; adding it only
+        # when it is not the default keeps every other fingerprint as is.
+        if config.speculative_depth != 1:
+            payload["speculative_depth"] = config.speculative_depth
+        return payload
 
     def _simulate(self, config: PipelineConfig) -> None:
         cpi, stack = _campaign(config, self.scale, self.seed, self.params)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from repro.params import ArchParams, DEFAULT_PARAMS
 from repro.pipeline.config import PipelineConfig
+from repro.serve.tasks import DEFAULT_CLIENT
 
 log = logging.getLogger("repro.dse.prune")
 
@@ -143,16 +144,15 @@ def pruned_sweep(
     oracle: PruneOracle,
     tech=None,
     include_fmax_points: bool = True,
-    workers: int | None = None,
-    service=None,
+    service=DEFAULT_CLIENT,
 ):
     """The ``sweep(prune=...)`` evaluation loop.
 
     Points arrive in ascending-static-lower-bound config order (not the
     caller's order — documented on :func:`repro.dse.sweep.sweep`).  The
     CPI campaign for each batch of surviving configs goes through
-    ``cpi_table.populate`` unchanged, so parallel workers and the
-    ``service=`` path both compose with pruning.
+    ``cpi_table.populate`` unchanged, so every campaign client composes
+    with pruning.
     """
     from repro.dse.design_point import DesignPoint
     from repro.dse.sweep import close_grid
@@ -186,7 +186,7 @@ def pruned_sweep(
         if not survivors:
             continue
         cpi_table.populate([config for config, _, _ in survivors],
-                           workers=workers, service=service)
+                           service=service)
         for config, lower, grid in survivors:
             cpi = cpi_table.cpi(config)
             kept = 0

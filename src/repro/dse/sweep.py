@@ -12,6 +12,10 @@ Characterization grids (paper Section 3):
 
 Crossed with the 32 microarchitectures this yields the paper's >4,000
 closed design points.
+
+Both phases of :func:`sweep` — the CPI campaign and the per-config grid
+closure — are ``cpi-config`` and ``dse-close`` tasks
+(:mod:`repro.serve.tasks`) mapped through one campaign client.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from __future__ import annotations
 from repro.dse.cpi import CpiTable
 from repro.dse.design_point import DesignPoint
 from repro.errors import SynthesisError
-from repro.parallel import resilient_map
 from repro.pipeline.config import PipelineConfig, all_configs
+from repro.serve.tasks import DEFAULT_CLIENT
 from repro.vlsi.synthesis import fmax, synthesize
 from repro.vlsi.technology import TECH65, Technology, VtFlavor
 
@@ -71,46 +75,26 @@ def close_grid(
     return results
 
 
-def _close_config(
-    task: tuple[PipelineConfig, float, Technology, bool],
-) -> list[DesignPoint]:
-    """Process-pool worker: close one config's (VT, VDD, f) grid.
-
-    Module level so it pickles; the point order within a config is the
-    serial loop's order, so config-major concatenation of the per-config
-    lists reproduces the serial sweep exactly.
-    """
-    config, cpi, tech, include_fmax_points = task
-    return [
-        DesignPoint(synthesis=result, cpi=cpi)
-        for result in close_grid(config, tech, include_fmax_points)
-    ]
-
-
 def sweep(
     configs: list[PipelineConfig] | None = None,
     cpi_table: CpiTable | None = None,
     tech: Technology = TECH65,
     include_fmax_points: bool = True,
-    workers: int | None = None,
-    service=None,
+    service=DEFAULT_CLIENT,
     prune=None,
 ) -> list[DesignPoint]:
     """Close every feasible design point in the characterized space.
 
     The per-config work (the CPI campaign and the synthesis grid) fans
-    out across a process pool; ``workers`` follows the
-    :func:`repro.parallel.resolve_workers` policy (``REPRO_SERIAL=1``
-    forces the in-process serial path).  The returned point list is
-    identical at any worker count; killed workers are retried (the
-    :func:`repro.parallel.resilient_map` policy), degrading to serial
-    execution if the pool keeps dying.
-
-    ``service`` (a :mod:`repro.serve` client) routes both phases —
-    ``cpi-config`` and ``dse-close`` task kinds — through the
-    supervised campaign service: results are unchanged, but identical
-    work is deduped against the durable store and an interrupted sweep
-    resumes from its completed tasks.
+    out through ``service``, the campaign client both phases'
+    ``cpi-config`` and ``dse-close`` tasks run through.  The default,
+    :class:`~repro.serve.tasks.LocalClient`, runs them on a supervised
+    pool for each phase (:func:`repro.parallel.resolve_workers` picks
+    its width; ``REPRO_SERIAL=1`` forces the in-process serial path).
+    A :mod:`repro.serve` service client instead dedups identical work
+    against its durable store, so an interrupted sweep resumes from its
+    completed tasks.  The returned point list is the same with every
+    client at any worker count.
 
     ``prune`` (a :class:`repro.dse.prune.PruneOracle`) short-circuits
     the CPI campaign for configs whose entire best-case grid — projected
@@ -130,28 +114,22 @@ def sweep(
 
         return pruned_sweep(
             configs, cpi_table, prune, tech=tech,
-            include_fmax_points=include_fmax_points, workers=workers,
-            service=service,
+            include_fmax_points=include_fmax_points, service=service,
         )
     # Fill the CPI table first (parallel across configs) so the closure
-    # tasks below are cheap, pure and picklable.
-    cpi_table.populate(configs, workers=workers, service=service)
-    if service is not None:
-        per_config = service.map("dse-close", [
-            {
-                "config": config.name,
-                "cpi": cpi_table.cpi(config),
-                "tech": tech.name,
-                "include_fmax": include_fmax_points,
-            }
-            for config in configs
-        ])
-    else:
-        tasks = [
-            (config, cpi_table.cpi(config), tech, include_fmax_points)
-            for config in configs
-        ]
-        per_config = resilient_map(_close_config, tasks, workers)
+    # tasks below are cheap and pure.  The point order within a config
+    # is close_grid's, so config-major concatenation reproduces a serial
+    # sweep exactly.
+    cpi_table.populate(configs, service=service)
+    per_config = service.map("dse-close", [
+        {
+            "config": config.name,
+            "cpi": cpi_table.cpi(config),
+            "tech": tech.name,
+            "include_fmax": include_fmax_points,
+        }
+        for config in configs
+    ])
     points: list[DesignPoint] = []
     for sublist in per_config:
         points.extend(sublist)

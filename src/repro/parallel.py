@@ -1,11 +1,14 @@
 """Deterministic, fault-tolerant process-level parallelism for campaigns.
 
-The CPI campaign, the design-space sweep, and the fault-injection
-campaign are embarrassingly parallel: each task shares nothing with the
-others, and every input is a frozen dataclass or pure function of the
-seed.  This module is the one place that decides *whether* to fan out,
-*how wide*, and *what happens when workers die*.  Every campaign obeys
-the same two environment switches:
+The CPI campaign, the design-space sweep, the fault-injection campaign
+and the fuzz run are embarrassingly parallel: each task shares nothing
+with the others, and every input is JSON or a pure function of the
+seed.  Each campaign maps its task kind (:mod:`repro.serve.tasks`)
+through one client, and the default client,
+:class:`repro.serve.tasks.LocalClient`, maps it with
+:func:`resilient_map`.  This module is the one place that decides
+*whether* to fan out, *how wide*, and *what happens when workers die*.
+Every campaign obeys the same two environment switches:
 
 * ``REPRO_SERIAL=1`` — force in-process serial execution (useful under
   debuggers, coverage, and profilers, and the documented escape hatch
@@ -27,7 +30,8 @@ that.
 This module keeps nothing on disk.  A campaign that must survive
 interruption runs through the campaign service instead
 (``service=InProcessClient(CampaignService(store=path))``), whose sqlite
-store dedups and resumes by task fingerprint (:mod:`repro.serve.store`).
+store dedups and resumes by task fingerprint (:mod:`repro.serve.store`);
+the tasks and their results are the same either way.
 """
 
 from __future__ import annotations

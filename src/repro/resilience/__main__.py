@@ -27,6 +27,7 @@ from repro.resilience.campaign import (
     format_summary,
 )
 from repro.resilience.divergence import assert_no_divergence
+from repro.serve.tasks import LocalClient
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -61,8 +62,8 @@ def main(argv: list[str] | None = None) -> int:
         scale=args.scale,
         seed=args.seed,
     )
-    serial = fault_campaign(workers=1, **common)
-    pooled = fault_campaign(workers=2, **common)
+    serial = fault_campaign(service=LocalClient(1), **common)
+    pooled = fault_campaign(service=LocalClient(2), **common)
     print(format_summary(serial))
     if serial != pooled:
         print("FAIL: campaign results differ between worker counts",

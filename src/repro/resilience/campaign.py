@@ -14,11 +14,12 @@ and classifies the outcome:
 * ``not-applied`` — no planned fault found state to corrupt (e.g. a
   queue fault scheduled while all queues were empty).
 
-Trials are pure functions of their task tuple, fanned out through
-:func:`repro.parallel.resilient_map`, so a campaign is bit-identical
-across runs and worker counts and survives killed workers.  To resume
-after interruption, run the campaign through a campaign service with a
-file-backed store (``service=``).
+Trials are pure functions of their :class:`FaultTrial`, mapped as
+``fault-trial`` tasks (:mod:`repro.serve.tasks`) through a campaign
+client, so a campaign is bit-identical across runs, clients and worker
+counts and survives killed workers.  To resume after interruption, run
+the campaign through a campaign service with a file-backed store
+(``service=``).
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import DeadlockError, SimulationError
-from repro.parallel import resilient_map
 from repro.pipeline.config import PipelineConfig, config_by_name
 from repro.pipeline.core import PipelinedPE
 from repro.resilience.faults import FaultClass, inject, plan_faults
 from repro.resilience.invariants import InvariantChecker
+from repro.serve.tasks import DEFAULT_CLIENT
 from repro.workloads.suite import get_workload
 
 DETECTED = "detected"
@@ -163,20 +164,19 @@ def fault_campaign(
     trials: int = 1,
     scale: int = 8,
     seed: int = 0,
-    workers: int | None = None,
-    service=None,
+    service=DEFAULT_CLIENT,
     **trial_kwargs,
 ) -> list[TrialResult]:
     """Run the full config x fault x workload x trial grid.
 
     ``configs`` accepts paper-style names or :class:`PipelineConfig`
-    objects.  Results are in deterministic grid order regardless of
-    worker count.
+    objects.  Results are in deterministic grid order with every client
+    at any worker count.
 
-    ``service`` (a :mod:`repro.serve` client) runs the grid as
-    ``fault-trial`` tasks on the supervised campaign service instead of
-    a private pool — same results, plus durable-store dedup/resume and
-    supervision against crashed or hung trial workers.  With a
+    ``service`` is the campaign client the ``fault-trial`` tasks run
+    through (default: a :class:`~repro.serve.tasks.LocalClient`, a
+    supervised pool for this call).  A :mod:`repro.serve` service
+    client gives the same results plus durable-store dedup: with a
     file-backed store, an interrupted campaign resumes from its
     completed cells.
     """
@@ -199,11 +199,9 @@ def fault_campaign(
         for workload in workloads
         for trial in range(trials)
     ]
-    if service is not None:
-        return service.map(
-            "fault-trial", [dataclasses.asdict(task) for task in tasks]
-        )
-    return resilient_map(run_trial, tasks, workers)
+    return service.map(
+        "fault-trial", [dataclasses.asdict(task) for task in tasks]
+    )
 
 
 def summarize(results: list[TrialResult]) -> dict[tuple[str, str], Counter]:

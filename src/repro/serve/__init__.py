@@ -12,7 +12,9 @@ DSE sweeps, fault campaigns, fuzz runs):
 * :mod:`~repro.serve.store` — durable content-fingerprint-keyed result
   store (sqlite): dedup, and resume of an interrupted campaign from
   its completed tasks;
-* :mod:`~repro.serve.tasks` — the JSON-pure task-kind registry;
+* :mod:`~repro.serve.tasks` — the JSON-pure task-kind registry, and
+  :class:`~repro.serve.tasks.LocalClient`, every campaign's default
+  client (a supervised pool per call, nothing stored);
 * :mod:`~repro.serve.http` / :mod:`~repro.serve.client` — local
   HTTP/JSON API and the in-process/HTTP clients;
 * :mod:`~repro.serve.chaos` — misbehaving task kinds for supervisor
@@ -39,6 +41,7 @@ _EXPORTS = {
     "HttpClient": "client",
     "InProcessClient": "client",
     "Job": "service",
+    "LocalClient": "tasks",
     "ResultStore": "store",
     "SupervisedTask": "supervisor",
     "Supervisor": "supervisor",

@@ -1,15 +1,20 @@
 """Clients for the campaign service.
 
-Both clients expose the same one-call surface the in-tree campaigns
-need — ``map(kind, payloads) -> ordered results`` — so
-:meth:`repro.dse.cpi.CpiTable.populate`, :func:`repro.dse.sweep.sweep`,
+Every campaign client exposes the same one-call surface the in-tree
+campaigns need — ``map(kind, payloads) -> ordered, decoded results`` —
+and :meth:`repro.dse.cpi.CpiTable.populate`,
+:func:`repro.dse.sweep.sweep`,
 :func:`repro.resilience.campaign.fault_campaign`, and
-:func:`repro.verify.runner.fuzz_run` can hand their fan-out to the
-hardened tier by passing ``service=<client>`` without changing their
-result types or ordering guarantees.
+:func:`repro.verify.runner.fuzz_run` make exactly one such call per
+fan-out, through whichever client their ``service=`` names.  Results
+and their order are the same with every client.
 
+* :class:`repro.serve.tasks.LocalClient` — a supervised pool for one
+  call, nothing stored; every campaign's default.  It lives beside the
+  task registry, not here, so a default campaign never imports the
+  service, its sqlite store or asyncio;
 * :class:`InProcessClient` wraps a live :class:`CampaignService` in the
-  same process (the CLI gates and library callers);
+  same process (durable-store dedup and resume);
 * :class:`HttpClient` speaks the :mod:`repro.serve.http` JSON API with
   nothing but ``urllib`` — suitable for a separate service process.
 """

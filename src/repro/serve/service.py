@@ -5,10 +5,13 @@
 durable store (:mod:`repro.serve.store`) decides how little of it needs
 to run, and the supervised pool (:mod:`repro.serve.supervisor`) runs
 the remainder and survives the workers.  The service itself is a plain
-synchronous state machine pumped by :meth:`CampaignService.pump`; the
-``async`` surface (:meth:`wait`, :meth:`drive`) is a thin timing
-wrapper, so the same service instance backs the in-process client, the
-HTTP frontend, and the tests' hand-cranked pumps.
+synchronous state machine pumped by :meth:`CampaignService.pump`.
+:meth:`CampaignService.wait` (behind :meth:`run_job`, the in-process
+client's core) pumps and blocks in the pool's
+:meth:`~repro.serve.supervisor.Supervisor.wait` between pumps; only
+:meth:`drive`, the HTTP frontend's background task, sleep-polls on the
+asyncio loop.  The same service instance backs the in-process client,
+the HTTP frontend, and the tests' hand-cranked pumps.
 
 Execution sharing: every task is keyed by its content fingerprint.  A
 fingerprint already in the store resolves instantly; one already in
@@ -159,7 +162,6 @@ class CampaignService:
         workers: int = 2,
         *,
         admission: AdmissionController | None = None,
-        telemetry=None,
         obs=None,
         poll_interval: float = 0.005,
         **supervisor_kwargs,
@@ -167,7 +169,6 @@ class CampaignService:
         self.store = (
             store if isinstance(store, ResultStore) else ResultStore(store)
         )
-        self.telemetry = telemetry
         #: Optional :class:`repro.obs.svc.ServiceObs`, threaded through
         #: admission and the supervised pool (None-default seam).
         self.obs = obs
@@ -175,8 +176,7 @@ class CampaignService:
         if obs is not None and self.admission.obs is None:
             self.admission.obs = obs
         self.supervisor = Supervisor(
-            workers=workers, telemetry=telemetry, obs=obs,
-            **supervisor_kwargs
+            workers=workers, obs=obs, **supervisor_kwargs
         )
         self.poll_interval = poll_interval
         self.jobs: dict[str, Job] = {}
@@ -184,12 +184,6 @@ class CampaignService:
         #: fingerprint -> waiters [(job, slot), ...] for in-flight tasks.
         self._inflight: dict[str, list[tuple[Job, int]]] = {}
         self._closed = False
-
-    # -- events ----------------------------------------------------------
-
-    def _emit(self, kind: str, **data) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(kind, "serve.service", **data)
 
     # -- submission ------------------------------------------------------
 
@@ -231,8 +225,6 @@ class CampaignService:
                          kind=kind, tasks=job.total, client=client,
                          priority=priority)
         self.jobs[job.job_id] = job
-        self._emit("job_admitted", job=job.job_id, task_kind=kind,
-                   tasks=job.total, client=client, priority=priority)
         return job
 
     # -- the pump --------------------------------------------------------
@@ -365,12 +357,6 @@ class CampaignService:
                 from_store=job.from_store, shared=job.shared,
                 failed=len(job.errors), quarantined=len(job.quarantined),
             )
-        self._emit(
-            "job_done", job=job.job_id, state=job.state,
-            executed=job.executed, from_store=job.from_store,
-            shared=job.shared, failed=len(job.errors),
-            quarantined=len(job.quarantined),
-        )
         # Terminal SSE frame; its event name equals the final state, so
         # the HTTP handler (and any client) closes on "done"/"failed".
         job.publish(job.state, executed=job.executed,
@@ -417,21 +403,32 @@ class CampaignService:
     # -- async surface ---------------------------------------------------
 
     async def wait(self, job: Job | str, timeout: float | None = None):
-        """Drive the service until ``job`` finishes; return its results."""
+        """Drive the service until ``job`` finishes; return its results.
+
+        Pumps the service and, between pumps, blocks in
+        :meth:`Supervisor.wait` until a result lands, a worker dies, or
+        a deadline or backoff falls due, instead of sleep-polling.  The
+        body never awaits: callers run it with ``asyncio.run`` from
+        synchronous code (the HTTP frontend drives the service with
+        :meth:`drive` instead).  Past ``timeout`` seconds it raises
+        :class:`CampaignError`.
+        """
         if isinstance(job, str):
             job = self.jobs[job]
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not job.finished:
-            if deadline is not None and time.monotonic() > deadline:
-                raise CampaignError(
-                    f"timed out waiting for job {job.job_id} "
-                    f"({job.resolved}/{job.total} resolved)"
-                )
+        while True:
             self.pump()
             if job.finished:
-                break
-            await asyncio.sleep(self.poll_interval)
-        return self.results(job)
+                return self.results(job)
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise CampaignError(
+                        f"timed out waiting for job {job.job_id} "
+                        f"({job.resolved}/{job.total} resolved)"
+                    )
+            self.supervisor.wait(remaining)
 
     async def drive(self) -> None:
         """Run the pump forever (the HTTP frontend's background task)."""

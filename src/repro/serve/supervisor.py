@@ -14,7 +14,9 @@ The pool is pumped by a non-blocking :meth:`Supervisor.poll` — every
 poll drains results, reaps crashed workers, kills workers whose
 in-flight task blew its deadline, respawns capacity, promotes
 backed-off retries, and dispatches ready tasks to idle workers.  The
-service calls it from its asyncio loop; a synchronous caller calls
+HTTP frontend's service loop calls it from asyncio; a synchronous
+caller (``resilient_map``, :meth:`CampaignService.run_job
+<repro.serve.service.CampaignService.run_job>`) calls
 :meth:`Supervisor.wait` between polls, which blocks on the worker
 outboxes and process sentinels until there is something to do.
 
@@ -220,7 +222,6 @@ class Supervisor:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         seed: int = 0,
-        telemetry=None,
         obs=None,
         clock=time.monotonic,
         serial: bool = False,
@@ -231,7 +232,6 @@ class Supervisor:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.seed = seed
-        self.telemetry = telemetry
         #: Optional :class:`repro.obs.svc.ServiceObs`; None-default seam.
         self.obs = obs
         self.clock = clock
@@ -251,12 +251,6 @@ class Supervisor:
             "tasks_quarantined": 0,
             "serial_fallback": serial,
         }
-
-    # -- events ----------------------------------------------------------
-
-    def _emit(self, kind: str, **data) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(kind, "serve.supervisor", **data)
 
     # -- submission ------------------------------------------------------
 
@@ -306,14 +300,12 @@ class Supervisor:
             worker.close_queues()
             self.serial = True
             self.metrics["serial_fallback"] = True
-            self._emit("serial_fallback", error=f"{type(exc).__name__}: {exc}")
             if self.obs is not None:
                 self.obs.log("serial_fallback", level="warning",
                              error=f"{type(exc).__name__}: {exc}")
             return None
         self.metrics["worker_spawns"] += 1
         self._workers[worker.worker_id] = worker
-        self._emit("worker_spawn", worker=worker.worker_id)
         if self.obs is not None:
             self.obs.log("worker_spawn", worker=worker.worker_id)
         return worker
@@ -325,7 +317,6 @@ class Supervisor:
 
     def _kill_worker(self, worker: _Worker, reason: str) -> None:
         self.metrics["worker_kills"] += 1
-        self._emit("worker_kill", worker=worker.worker_id, reason=reason)
         if self.obs is not None:
             self.obs.log("worker_kill", level="warning",
                          worker=worker.worker_id, reason=reason)
@@ -372,8 +363,6 @@ class Supervisor:
                              trace_id=task.trace_id, span_id=task.span_id,
                              task=task.task_id, kind=task.kind,
                              failure=failure, attempts=len(task.failures))
-            self._emit("task_quarantined", task=task.task_id,
-                       task_kind=task.kind, attempts=len(task.failures))
             return TaskOutcome(
                 task, TaskOutcome.QUARANTINED, forensic=forensic,
                 error=(failure, detail, "", report),
@@ -383,8 +372,6 @@ class Supervisor:
             self.backoff_base, len(task.failures), cap=self.backoff_cap,
             token=task.fingerprint, seed=self.seed,
         )
-        self._emit("task_retry", task=task.task_id, failure=failure,
-                   attempt=len(task.failures), delay=delay)
         if self.obs is not None and task.trace_id is not None:
             now = self.clock()
             self.obs.tracer.record(
@@ -471,8 +458,6 @@ class Supervisor:
     def _task_done(self, task: SupervisedTask, result,
                    seconds: float) -> TaskOutcome:
         self.metrics["tasks_done"] += 1
-        self._emit("task_done", task=task.task_id, task_kind=task.kind,
-                   seconds=seconds, attempts=task.attempts)
         if self.obs is not None:
             self.obs.metrics.observe("repro_serve_task_seconds", seconds,
                                      kind=task.kind)
@@ -486,8 +471,6 @@ class Supervisor:
     def _task_failed(self, task: SupervisedTask, error: tuple,
                      seconds: float) -> TaskOutcome:
         self.metrics["tasks_failed"] += 1
-        self._emit("task_failed", task=task.task_id, task_kind=task.kind,
-                   error=error[0], attempts=task.attempts)
         if self.obs is not None:
             self.obs.metrics.observe("repro_serve_task_seconds", seconds,
                                      kind=task.kind)
@@ -549,8 +532,6 @@ class Supervisor:
                 continue
             exitcode = worker.process.exitcode
             self.metrics["worker_crashes"] += 1
-            self._emit("worker_crash", worker=worker.worker_id,
-                       exitcode=exitcode)
             task = worker.current
             if self.obs is not None:
                 self.obs.tracer.end(worker.span, ok=False, error="crashed",
@@ -611,8 +592,6 @@ class Supervisor:
                 None if self.task_timeout is None
                 else now + self.task_timeout
             )
-            self._emit("task_dispatch", task=task.task_id, task_kind=task.kind,
-                       worker=worker.worker_id, attempt=task.attempts)
             if self.obs is not None and task.trace_id is not None:
                 self._close_queue_span(task)
                 worker.span = self.obs.tracer.begin(
@@ -644,24 +623,27 @@ class Supervisor:
 
     # -- blocking wait ---------------------------------------------------
 
-    def wait(self) -> None:
+    def wait(self, timeout: float | None = None) -> None:
         """Block until :meth:`poll` has something to do.
 
         Sleeps on the worker outboxes and process sentinels, so a result
         or a dead worker wakes it at once, and never past the earliest
-        task deadline or retry backoff.  Returns immediately when a task
-        is ready to dispatch, the pool runs serially, or nothing is in
-        flight or backed off.
+        task deadline or retry backoff, nor longer than ``timeout``
+        seconds.  Returns immediately when a task is ready to dispatch,
+        the pool runs serially, or nothing is in flight or backed off.
         """
         if self.serial or not self.has_work or (self.pending and (
                 len(self._workers) < self.worker_count
                 or any(worker.idle for worker in self._workers.values()))):
             return
+        now = self.clock()
         due = [worker.deadline for worker in self._workers.values()
                if worker.deadline is not None]
         if self._delayed:
             due.append(self._delayed[0][0])
-        limit = max(0.0, min(due) - self.clock()) if due else None
+        if timeout is not None:
+            due.append(now + timeout)
+        limit = max(0.0, min(due) - now) if due else None
         # The outbox's read end is the handle concurrent.futures waits
         # on too; the sentinel turns ready when the process exits.
         handles = [handle for worker in self._workers.values()

@@ -1,8 +1,11 @@
-"""Task registry: the named, JSON-pure work units the service executes.
+"""Task registry: the named, JSON-pure work units every campaign runs.
 
-A campaign submitted to :class:`repro.serve.service.CampaignService` is
-a list of ``(kind, payload)`` pairs where ``payload`` is plain JSON.
-This module maps each ``kind`` to:
+A campaign is a list of ``(kind, payload)`` pairs where ``payload`` is
+plain JSON, mapped through one client's ``map(kind, payloads)``: the
+:class:`LocalClient` defined here (a supervised pool per call), or the
+:mod:`repro.serve.client` clients of a
+:class:`repro.serve.service.CampaignService`.  This module maps each
+``kind`` to:
 
 * ``run`` — a pure function ``payload -> JSON result`` executed inside
   a worker process (or in-process under serial degradation).  Purity is
@@ -14,11 +17,11 @@ This module maps each ``kind`` to:
   so existing callers get bit-identical values whether a result was
   computed serially, by a worker, or replayed from the durable store.
 
-Worker processes are forked from the service, so kinds registered
+Worker processes are forked from the parent, so kinds registered
 before the pool spawns — including test-only chaos kinds — are visible
 in every worker without import gymnastics.
 
-Registered campaign kinds mirror the four in-tree campaign clients:
+Registered campaign kinds are the units of the in-tree campaigns:
 
 ========================  ==================================================
 ``cpi-config``            one microarchitecture's full Table 3 CPI campaign
@@ -37,9 +40,11 @@ Registered campaign kinds mirror the four in-tree campaign clients:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Callable
 
 from repro.errors import ConfigError
+from repro.parallel import resilient_map
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,6 +110,36 @@ def decode_result(name: str, result):
     return result if kind.decode is None else kind.decode(result)
 
 
+class LocalClient:
+    """Campaign client with no service behind it: a supervised pool for
+    one ``map`` call, and nothing stored.
+
+    The default client of every campaign.  ``workers`` follows
+    :func:`repro.parallel.resolve_workers` (``None``: ``REPRO_WORKERS``
+    or the CPU count; ``REPRO_SERIAL=1`` forces one); ``timeout`` bounds
+    each task's run in a worker.  Results are those of
+    :class:`repro.serve.client.InProcessClient` on the same kind and
+    payloads, at any worker count.
+    """
+
+    def __init__(self, workers: int | None = None, *,
+                 timeout: float | None = None) -> None:
+        self.workers = workers
+        self.timeout = timeout
+
+    def map(self, kind: str, payloads: list) -> list:
+        """Run one campaign to completion; ordered, decoded results."""
+        results = resilient_map(functools.partial(execute, kind), payloads,
+                                self.workers, timeout=self.timeout)
+        return [decode_result(kind, result) for result in results]
+
+
+#: The default ``service`` of every campaign.  A ``LocalClient`` holds
+#: only its settings, so one instance is shared; ``workers=None`` is
+#: resolved on each ``map`` call.
+DEFAULT_CLIENT = LocalClient()
+
+
 # ----------------------------------------------------------------------
 # Campaign kinds.  Imports are deferred into the run functions so that
 # importing repro.serve stays cheap and dependency-light; each function
@@ -123,7 +158,8 @@ def _run_cpi_config(payload: dict):
     from repro.dse.cpi import _campaign
     from repro.pipeline.config import config_by_name
 
-    config = config_by_name(payload["config"])
+    config = config_by_name(payload["config"]).with_options(
+        speculative_depth=payload.get("speculative_depth", 1))
     cpi, stack = _campaign(
         config, payload["scale"], payload["seed"], _params_from(payload)
     )
@@ -131,25 +167,22 @@ def _run_cpi_config(payload: dict):
 
 
 def _run_dse_close(payload: dict):
-    from repro.dse.sweep import _close_config
+    from repro.dse.sweep import close_grid
     from repro.pipeline.config import config_by_name
     from repro.vlsi.technology import Technology
 
-    points = _close_config((
+    grid = close_grid(
         config_by_name(payload["config"]),
-        payload["cpi"],
         Technology(name=payload.get("tech", "tsmc65gp-model")),
         payload.get("include_fmax", True),
-    ))
+    )
     return [
         {
-            "synthesis": {
-                **dataclasses.asdict(point.synthesis),
-                "vt": point.synthesis.vt.value,
-            },
-            "cpi": point.cpi,
+            "synthesis": {**dataclasses.asdict(synthesis),
+                          "vt": synthesis.vt.value},
+            "cpi": payload["cpi"],
         }
-        for point in points
+        for synthesis in grid
     ]
 
 
@@ -182,13 +215,14 @@ def _decode_fault_trial(result):
 
 
 def _run_fuzz_case(payload: dict):
-    from repro.verify.runner import _check_seed
+    from repro.params import DEFAULT_PARAMS
+    from repro.verify.generator import generate_case
+    from repro.verify.harness import check_case
 
-    return _check_seed((
-        payload["seed"],
-        payload.get("ref_configs", 4),
-        payload.get("jit", False),
-    ))
+    case = generate_case(payload["seed"], DEFAULT_PARAMS)
+    return check_case(case, DEFAULT_PARAMS,
+                      ref_configs=payload.get("ref_configs", 4),
+                      jit=payload.get("jit", False))
 
 
 def _run_workload(payload: dict):

@@ -16,14 +16,14 @@ into the corpus directory for triage.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 from repro.params import DEFAULT_PARAMS
+from repro.serve.tasks import LocalClient
 from repro.verify.corpus import DEFAULT_CORPUS, load_corpus, save_case
 from repro.verify.harness import CONFIGS, check_case, real_divergences
-from repro.verify.runner import fuzz_run, summarize_run
+from repro.verify.runner import CASE_TIMEOUT, fuzz_run, summarize_run
 from repro.verify.shrinker import shrink_case
 
 #: Cases checked by ``--smoke``; sized so the gate stays inside a small
@@ -76,9 +76,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="first case seed (cases use seed..seed+N-1)")
     parser.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("REPRO_WORKERS", "0")) or None,
-        help="worker processes (default: one per CPU)",
+        "--workers", type=int, default=None,
+        help="worker processes (default: REPRO_WORKERS, else one per CPU)",
     )
     parser.add_argument("--ref-configs", type=int, default=2,
                         help="configs per case that also run the reference "
@@ -114,8 +113,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fuzz {count} cases, seed {seed}, "
               f"{len(CONFIGS)} configs each{suffix}...")
 
-    results = fuzz_run(count, seed=seed, workers=args.workers,
-                       ref_configs=args.ref_configs, jit=args.jit)
+    results = fuzz_run(count, seed=seed, ref_configs=args.ref_configs,
+                       jit=args.jit,
+                       service=LocalClient(args.workers, timeout=CASE_TIMEOUT))
     summary = summarize_run(results)
     elapsed = time.monotonic() - started
     print(f"checked {summary['cases']} cases / "

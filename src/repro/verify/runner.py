@@ -1,43 +1,37 @@
 """Campaign driver: fan a batch of fuzz cases over worker processes.
 
 The per-case check is pure (a seed fully determines the case and its
-result), so a campaign is an order-preserving :func:`resilient_map`
-over seeds — byte-identical results at any worker count, with the
-parallel layer's timeout/retry/serial-degradation hardening for free.
+result), so a campaign maps one ``fuzz-case`` task per seed
+(:mod:`repro.serve.tasks`) through a campaign client — byte-identical
+results with every client at any worker count, with the supervised
+pool's timeout/retry/serial-degradation hardening for free.
 """
 
 from __future__ import annotations
 
-from repro.parallel import resilient_map
-from repro.params import DEFAULT_PARAMS
-from repro.verify.generator import generate_case
-from repro.verify.harness import check_case, real_divergences
+from repro.serve.tasks import LocalClient
+from repro.verify.harness import real_divergences
+
+#: Seconds a case may run in a worker before the pool kills and retries it.
+CASE_TIMEOUT = 120.0
 
 
-def _check_seed(task: tuple[int, int, bool]) -> dict:
-    """Module-level worker (must pickle): generate and check one seed."""
-    seed, ref_configs, jit = task
-    case = generate_case(seed, DEFAULT_PARAMS)
-    return check_case(case, DEFAULT_PARAMS, ref_configs=ref_configs, jit=jit)
-
-
-def fuzz_run(count: int, seed: int = 0, workers: int | None = None,
-             ref_configs: int = 4, timeout: float | None = 120.0,
-             jit: bool = False, service=None) -> list[dict]:
+def fuzz_run(count: int, seed: int = 0, ref_configs: int = 4,
+             jit: bool = False,
+             service=LocalClient(timeout=CASE_TIMEOUT)) -> list[dict]:
     """Check ``count`` generated cases; returns per-case result dicts.
 
-    With ``service`` (a :mod:`repro.serve` client) the batch runs as
-    ``fuzz-case`` tasks on the supervised campaign service: identical
-    per-case dicts, deduped against the durable store, so re-fuzzing an
-    overlapping seed range only executes the new seeds.
+    ``service`` is the campaign client the ``fuzz-case`` tasks run
+    through.  The default, ``LocalClient(timeout=CASE_TIMEOUT)``, runs
+    them on a supervised pool for this call and kills a case still
+    running after 120 s.  A :mod:`repro.serve` service client instead
+    dedups them against its durable store, so re-fuzzing an overlapping
+    seed range only executes the new seeds.
     """
-    if service is not None:
-        return service.map("fuzz-case", [
-            {"seed": seed + index, "ref_configs": ref_configs, "jit": jit}
-            for index in range(count)
-        ])
-    tasks = [(seed + index, ref_configs, jit) for index in range(count)]
-    return resilient_map(_check_seed, tasks, workers, timeout=timeout)
+    return service.map("fuzz-case", [
+        {"seed": seed + index, "ref_configs": ref_configs, "jit": jit}
+        for index in range(count)
+    ])
 
 
 def summarize_run(results: list[dict]) -> dict:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.dse.cpi import CpiTable
 from repro.parallel import resolve_workers
-from repro.pipeline.config import all_configs
+from repro.pipeline.config import all_configs, config_by_name
+from repro.serve.tasks import LocalClient
 
 
 @pytest.fixture()
@@ -54,9 +55,20 @@ class TestCpiTableParallelism:
         for config in self.CONFIGS:
             lazy.cpi(config)
         pooled = CpiTable(scale=self.SCALE)
-        pooled.populate(self.CONFIGS, workers=2)
+        pooled.populate(self.CONFIGS, service=LocalClient(2))
         assert pooled._cpi == lazy._cpi
         assert pooled._stacks == lazy._stacks
+
+    def test_populate_keeps_the_speculation_depth(self, clean_env):
+        # The paper-style name does not carry speculative_depth.
+        deep = config_by_name("T|D|X1|X2 +P").with_options(
+            speculative_depth=3)
+        lazy = CpiTable(scale=4)
+        pooled = CpiTable(scale=4)
+        pooled.populate([deep], service=LocalClient(1))
+        assert pooled.cpi(deep) == lazy.cpi(deep)
+        assert lazy.cpi(deep) != CpiTable(scale=4).cpi(
+            config_by_name("T|D|X1|X2 +P"))
 
 
 class TestRetryDelay:

@@ -44,6 +44,7 @@ from repro.resilience.campaign import (
     NOT_APPLIED,
 )
 from repro.resilience.forensics import forensic_report, format_report
+from repro.serve.tasks import LocalClient
 from repro.workloads.suite import get_workload
 
 OUTCOMES = {DETECTED, HUNG, CORRUPTED, MASKED, NOT_APPLIED}
@@ -424,9 +425,9 @@ SMALL_CAMPAIGN_KWARGS = dict(
 
 class TestFaultCampaign:
     def test_bit_identical_across_runs_and_worker_counts(self):
-        serial = fault_campaign(workers=1, **CAMPAIGN_KWARGS)
-        rerun = fault_campaign(workers=1, **CAMPAIGN_KWARGS)
-        pooled = fault_campaign(workers=2, **CAMPAIGN_KWARGS)
+        serial = fault_campaign(service=LocalClient(1), **CAMPAIGN_KWARGS)
+        rerun = fault_campaign(service=LocalClient(1), **CAMPAIGN_KWARGS)
+        pooled = fault_campaign(service=LocalClient(2), **CAMPAIGN_KWARGS)
         assert serial == rerun
         assert serial == pooled
         assert len(serial) == 6
@@ -448,7 +449,7 @@ class TestFaultCampaign:
         assert survived == serial
 
     def test_summary_covers_every_cell(self):
-        results = fault_campaign(workers=1, **SMALL_CAMPAIGN_KWARGS)
+        results = fault_campaign(service=LocalClient(1), **SMALL_CAMPAIGN_KWARGS)
         summary = summarize(results)
         assert set(summary) == {
             (config, fault.value)

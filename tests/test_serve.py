@@ -15,7 +15,10 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -35,7 +38,7 @@ from repro.serve import (
 from repro.serve import supervisor as supervisor_mod
 from repro.serve.admission import TokenBucket
 from repro.serve.http import start_http_server
-from repro.serve.tasks import execute, registered_kinds
+from repro.serve.tasks import LocalClient, execute, registered_kinds
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +205,26 @@ class TestServiceBasics:
                 service, "chaos-echo", [{"value": i} for i in range(8)]
             )
         assert results == [{"echo": i} for i in range(8)]
+
+    def test_map_blocks_instead_of_polling(self):
+        # Warm up first so worker spawns do not count.  The service's
+        # wait blocks in Supervisor.wait between pumps: 0.2-0.3% of wall
+        # time (0.3-0.45% under a Python trace function), where the 5 ms
+        # asyncio sleep-poll loop it replaced burns 2-4% (6% traced).
+        payloads = [{"seconds": 0.5, "token": str(i)} for i in range(8)]
+        with CampaignService(None, workers=2) as service:
+            _run(service, "chaos-echo", [{"value": 0}, {"value": 1}])
+            cpu, wall = time.process_time(), time.perf_counter()
+            results = _run(service, "chaos-sleep", payloads)
+            cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        assert [result["token"] for result in results] == [
+            payload["token"] for payload in payloads]
+        assert cpu < 0.015 * wall
+
+    def test_job_timeout_raises(self):
+        with CampaignService(None, workers=1) as service:
+            with pytest.raises(CampaignError, match="timed out"):
+                _run(service, "chaos-sleep", [{"seconds": 30.0}], timeout=0.3)
 
     def test_unknown_kind_fails_fast(self):
         with CampaignService(None, workers=1) as service:
@@ -382,44 +405,99 @@ class TestResume:
 # ----------------------------------------------------------------------
 
 
-class TestCampaignClients:
-    def test_fault_campaign_matches_direct_run(self):
-        from repro.resilience.campaign import fault_campaign
+def _cpi_tables(client):
+    from repro.dse.cpi import CpiTable
+    from repro.pipeline.config import config_by_name
 
-        kwargs = dict(
-            configs=("TDX",), faults=("reg-bit-flip",), workloads=("gcd",),
-            trials=2, scale=4, seed=3,
-        )
-        direct = fault_campaign(workers=1, **kwargs)
-        with CampaignService(None, workers=2) as service:
-            served = fault_campaign(
-                service=InProcessClient(service), **kwargs
-            )
-        assert served == direct
-
-    def test_fuzz_run_matches_direct_run(self):
-        from repro.verify.runner import fuzz_run
-
-        direct = fuzz_run(2, seed=11, workers=1, ref_configs=2)
-        with CampaignService(None, workers=2) as service:
-            served = fuzz_run(
-                2, seed=11, ref_configs=2, service=InProcessClient(service)
-            )
-        assert served == direct
-
-    def test_cpi_populate_matches_direct_run(self):
-        from repro.dse.cpi import CpiTable
-        from repro.pipeline.config import config_by_name
-
-        configs = [config_by_name("TDX"), config_by_name("T|DX +P")]
-        direct = CpiTable(scale=4, seed=0)
-        direct.populate(configs, workers=1)
-        with CampaignService(None, workers=2) as service:
-            served = CpiTable(scale=4, seed=0)
-            served.populate(configs, service=InProcessClient(service))
+    table = CpiTable(scale=4, seed=0)
+    configs = [config_by_name("TDX"), config_by_name("T|DX +P")]
+    if client is None:     # the lazy, serial, in-process path
         for config in configs:
-            assert served.cpi(config) == direct.cpi(config)
-            assert served.stack(config) == direct.stack(config)
+            table.cpi(config)
+    else:
+        table.populate(configs, service=client)
+    return table._cpi, table._stacks
+
+
+def _swept_points(client):
+    from repro.dse.cpi import CpiTable
+    from repro.dse.design_point import DesignPoint
+    from repro.dse.sweep import close_grid, sweep
+    from repro.pipeline.config import config_by_name
+
+    config = config_by_name("TDX")
+    table = CpiTable(scale=4, seed=0)
+    if client is None:
+        return [DesignPoint(synthesis=synthesis, cpi=table.cpi(config))
+                for synthesis in close_grid(config)]
+    return sweep([config], cpi_table=table, service=client)
+
+
+def _fault_trials(client):
+    from repro.resilience.campaign import FaultTrial, fault_campaign, run_trial
+
+    if client is None:
+        return [run_trial(FaultTrial(config="TDX", workload="gcd",
+                                     fault="reg-bit-flip", trial=trial,
+                                     scale=4, seed=3))
+                for trial in range(2)]
+    return fault_campaign(
+        configs=("TDX",), faults=("reg-bit-flip",), workloads=("gcd",),
+        trials=2, scale=4, seed=3, service=client,
+    )
+
+
+def _fuzz_cases(client):
+    from repro.params import DEFAULT_PARAMS
+    from repro.verify.generator import generate_case
+    from repro.verify.harness import check_case
+    from repro.verify.runner import fuzz_run
+
+    if client is None:
+        return [check_case(generate_case(seed, DEFAULT_PARAMS),
+                           DEFAULT_PARAMS, ref_configs=2)
+                for seed in (11, 12)]
+    return fuzz_run(2, seed=11, ref_configs=2, service=client)
+
+
+class TestCampaignClients:
+    @pytest.mark.parametrize("campaign", [
+        pytest.param(_cpi_tables, id="cpi-config"),
+        pytest.param(_swept_points, id="dse-close"),
+        pytest.param(_fault_trials, id="fault-trial"),
+        pytest.param(_fuzz_cases, id="fuzz-case"),
+    ])
+    def test_every_client_matches_direct_run(self, campaign):
+        """Each campaign's one fan-out gives the in-process direct
+        computation's results through every client and pool width."""
+        direct = campaign(None)
+        assert campaign(LocalClient(1)) == direct
+        assert campaign(LocalClient(2)) == direct
+        with CampaignService(None, workers=2) as service:
+            assert campaign(InProcessClient(service)) == direct
+
+    def test_default_client_imports_no_service(self):
+        """A default-client campaign loads neither the service nor its
+        sqlite store and asyncio loop."""
+        code = (
+            "import sys\n"
+            "from repro.dse.cpi import CpiTable\n"
+            "from repro.pipeline.config import config_by_name\n"
+            "CpiTable(scale=4).populate("
+            "[config_by_name('TDX'), config_by_name('T|DX +P')])\n"
+            "print(sorted({'sqlite3', 'asyncio', 'repro.serve.service'}"
+            " & set(sys.modules)))\n"
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src, REPRO_WORKERS="2")
+        env.pop("REPRO_SERIAL", None)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_cpi_populate_resumes_from_file_store(self, tmp_path):
         from repro.dse.cpi import CpiTable
@@ -441,22 +519,6 @@ class TestCampaignClients:
         assert populate(4) == (fresh, 0)
         # Another scale is another campaign.
         assert populate(5)[1] == len(configs)
-
-    def test_sweep_matches_direct_run(self):
-        from repro.dse.cpi import CpiTable
-        from repro.dse.sweep import sweep
-        from repro.pipeline.config import config_by_name
-
-        configs = [config_by_name("TDX")]
-        direct = sweep(
-            configs, cpi_table=CpiTable(scale=4, seed=0), workers=1,
-        )
-        with CampaignService(None, workers=2) as service:
-            served = sweep(
-                configs, cpi_table=CpiTable(scale=4, seed=0),
-                service=InProcessClient(service),
-            )
-        assert served == direct
 
 
 # ----------------------------------------------------------------------

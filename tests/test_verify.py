@@ -3,8 +3,12 @@
 import copy
 import os
 
+import pytest
+
 from repro.isa.opcodes import OPS
 from repro.params import DEFAULT_PARAMS
+from repro.serve.tasks import LocalClient
+from repro.verify.__main__ import main as verify_main
 from repro.verify.corpus import load_corpus
 from repro.verify.generator import case_source, generate_case
 from repro.verify.harness import check_case, real_divergences
@@ -80,13 +84,25 @@ class TestGenerator:
 
 class TestRunner:
     def test_results_identical_at_any_worker_count(self):
-        serial = fuzz_run(6, seed=50, workers=1, ref_configs=1)
-        pooled = fuzz_run(6, seed=50, workers=2, ref_configs=1)
+        serial = fuzz_run(6, seed=50, ref_configs=1, service=LocalClient(1))
+        pooled = fuzz_run(6, seed=50, ref_configs=1, service=LocalClient(2))
         assert serial == pooled
         summary = summarize_run(serial)
         assert summary["cases"] == 6
         assert summary["divergent_cases"] == []
         assert summary["generator_bugs"] == []
+
+
+class TestCli:
+    def test_garbage_workers_env_leaves_the_default_to_the_pool(
+            self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_WORKERS", "lots")
+        with pytest.raises(SystemExit) as exit_info:
+            verify_main(["--help"])
+        assert exit_info.value.code == 0
+        assert verify_main(["--fuzz", "2", "--seed", "50",
+                            "--ref-configs", "0"]) == 0
+        assert "checked 2 cases" in capsys.readouterr().out
 
 
 class TestCorpus:
